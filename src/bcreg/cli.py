@@ -444,7 +444,6 @@ def _cmd_stream(args):
 
 
 def _cmd_kernel_stream(args):
-    args.model = None
     return _run_stream_command(args, "kernel")
 
 
@@ -514,7 +513,7 @@ def main(argv=None) -> int:
     try:
         payload, rows = COMMANDS[args.command](args)
         _write_output(payload, rows, args.out, args.format)
-    except (BcregError, OSError, np.linalg.LinAlgError) as exc:
+    except (BcregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

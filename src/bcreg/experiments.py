@@ -57,8 +57,8 @@ class SyntheticSpec:
             raise InvalidParameterError(f"unknown model_id {self.model_id!r}")
         if self.n < 1:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
-        if self.snr <= 0:
-            raise InvalidParameterError(f"snr must be positive, got {self.snr}")
+        if not (np.isfinite(self.snr) and self.snr > 0):
+            raise InvalidParameterError(f"snr must be finite and positive, got {self.snr}")
         if self.seed < 0:
             raise InvalidParameterError("seed must be a nonnegative integer")
 
@@ -131,8 +131,8 @@ def synth_nonlinear_block(
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if snr <= 0:
-        raise InvalidParameterError(f"snr must be positive, got {snr}")
+    if not (np.isfinite(snr) and snr > 0):
+        raise InvalidParameterError(f"snr must be finite and positive, got {snr}")
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
         raise InvalidParameterError("x_range must be an increasing interval")

@@ -7,8 +7,19 @@ in coefficient space:
 
     c# = c + lambda (lambda I + K/n)^-1 c.
 
+Both are the iterated-Tikhonov solve that also fits corrected ridge:
+the system is written as (lambda I + K/n) c = y/n, so one Cholesky
+factor of (lambda I + K/n) serves the fit and its correction.
+
 No intercept and no target centering are used; the fit lives entirely
 in the kernel's function space.
+
+Bad input raises at the call: a lambda that is not finite and > 0, or
+an order outside {0, 1}, raises InvalidParameterError; a kernel matrix
+with non-finite entries raises InvalidDataError; a kernel that is not
+positive semi-definite, so that lambda I + K/n has no Cholesky factor
+(e.g. a polynomial kernel with a negative offset), raises
+DegenerateDataError.
 """
 
 from __future__ import annotations
@@ -16,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
@@ -26,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .linear import Dataset, _readonly
+from .linear import Dataset, _check_lam, _check_order, _readonly, _tikhonov
 
 __all__ = [
     "KernelSpec",
@@ -97,10 +107,8 @@ class KernelModel:
             raise ShapeError("coeffs length must match center count")
         if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(coeffs))):
             raise InvalidDataError("model arrays must be finite")
-        if self.lam <= 0:
-            raise InvalidParameterError(f"lambda must be positive, got {self.lam}")
-        if self.order not in (0, 1):
-            raise InvalidParameterError("kernel correction order must be 0 or 1")
+        _check_lam(self.lam)
+        _check_order(self.order, kernel=True)
         object.__setattr__(self, "centers", _readonly(centers))
         object.__setattr__(self, "coeffs", _readonly(coeffs))
 
@@ -166,38 +174,18 @@ def median_bandwidth(rows) -> float:
     return med
 
 
-def _rkn_coeffs(kmat: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (lambda n I + K) c = y via Cholesky."""
-    n = kmat.shape[0]
-    factor = cho_factor(lam * n * np.eye(n) + kmat, lower=True, check_finite=False)
-    return cho_solve(factor, targets, check_finite=False)
-
-
-def _corrected_coeffs(kmat: np.ndarray, coeffs: np.ndarray, lam: float) -> np.ndarray:
-    """Apply c# = c + lambda (lambda I + K/n)^-1 c."""
-    n = kmat.shape[0]
-    factor = cho_factor(lam * np.eye(n) + kmat / n, lower=True, check_finite=False)
-    return coeffs + lam * cho_solve(factor, coeffs, check_finite=False)
-
-
 def fit_kernel_regularized(
     dataset: Dataset, spec: KernelSpec, lam: float, order: int = 0
 ) -> KernelModel:
     """Fit the kernel network (order 0) or its corrected variant (order 1)."""
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    if order not in (0, 1):
-        raise InvalidParameterError("kernel correction order must be 0 or 1")
+    lam, order = _check_lam(lam), _check_order(order, kernel=True)
     x = dataset.features
+    n = dataset.n_rows
     kmat = kernel_matrix(spec, x, x)
     if not np.all(np.isfinite(kmat)):
         raise InvalidDataError("kernel matrix contains non-finite entries")
-    coeffs = _rkn_coeffs(kmat, dataset.targets, lam)
-    if order == 1:
-        coeffs = _corrected_coeffs(kmat, coeffs, lam)
-    return KernelModel(
-        centers=x, coeffs=coeffs, spec=spec, lam=float(lam), order=int(order)
-    )
+    coeffs = _tikhonov(kmat / n, dataset.targets / n, lam, order)
+    return KernelModel(centers=x, coeffs=coeffs, spec=spec, lam=lam, order=order)
 
 
 def predict_kernel(model: KernelModel, rows) -> np.ndarray:

@@ -20,12 +20,15 @@ asymptotic-bias oracle used to sanity-check Monte-Carlo estimates.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
+    DegenerateDataError,
     InsufficientDataError,
     InvalidDataError,
     InvalidParameterError,
@@ -48,6 +51,27 @@ __all__ = [
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _check_lam(lam) -> float:
+    """The regularization strength as a float, if it is finite and > 0."""
+    value = float(lam)
+    if not 0.0 < value < math.inf:
+        raise InvalidParameterError(f"lambda must be finite and positive, got {lam}")
+    return value
+
+
+def _check_order(order, kernel: bool = False) -> int:
+    """The correction order as an int, if it is an integer >= 0 (<= 1 for kernels)."""
+    try:
+        k = operator.index(order)
+    except TypeError:
+        k = -1
+    if k < 0:
+        raise InvalidParameterError(f"order must be an integer >= 0, got {order!r}")
+    if kernel and k > 1:
+        raise InvalidParameterError(f"kernel correction order must be 0 or 1, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -113,10 +137,8 @@ class LinearModel:
             raise ShapeError("weights must be a vector")
         if not (np.all(np.isfinite(w)) and np.isfinite(self.intercept)):
             raise InvalidDataError("model coefficients must be finite")
-        if self.lam <= 0:
-            raise InvalidParameterError(f"lambda must be positive, got {self.lam}")
-        if self.order < 0:
-            raise InvalidParameterError(f"order must be >= 0, got {self.order}")
+        _check_lam(self.lam)
+        _check_order(self.order)
         object.__setattr__(self, "weights", _readonly(w))
 
 
@@ -166,23 +188,26 @@ def center(dataset: Dataset) -> CenteredStats:
     )
 
 
-def _corrected_weights(
-    cov: np.ndarray, cross: np.ndarray, lam: float, order: int
-) -> np.ndarray:
-    """Order-k corrected ridge weights from covariance statistics.
+def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.ndarray:
+    """Order-k iterated Tikhonov solution sum_{j=0..k} lam^j (lam I + gram)^-(j+1) rhs.
 
-    Factors (lambda I + cov) once; every correction step is one extra
+    Every fit in the package is this solve: corrected ridge on
+    (cov, cross) and the kernel network on (K/n, y/n).  Factors
+    (lam I + gram) once; every correction step is one extra
     back-substitution, never an explicit matrix power.
     """
-    p = cov.shape[0]
-    factor = cho_factor(lam * np.eye(p) + cov, lower=True, check_finite=False)
-    w = cho_solve(factor, cross, check_finite=False)
-    w_corrected = w
-    term = w
+    try:
+        factor = cho_factor(lam * np.eye(gram.shape[0]) + gram, lower=True, check_finite=False)
+    except LinAlgError:
+        raise DegenerateDataError(
+            f"lambda I + Gram matrix has no Cholesky factor at lambda={lam}: "
+            "the Gram (kernel) matrix is not positive semi-definite"
+        ) from None
+    solution = term = cho_solve(factor, rhs, check_finite=False)
     for _ in range(order):
         term = lam * cho_solve(factor, term, check_finite=False)
-        w_corrected = w_corrected + term
-    return w_corrected
+        solution = solution + term
+    return solution
 
 
 def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel:
@@ -201,16 +226,13 @@ def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel
     order : int
         Number of bias-correction steps; 0 is plain ridge.
     """
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    if order < 0:
-        raise InvalidParameterError(f"order must be >= 0, got {order}")
+    lam, order = _check_lam(lam), _check_order(order)
     if dataset.n_rows < 2:
         raise InsufficientDataError("fitting needs at least two rows")
     x_mean, y_mean, cov, cross = _centered_arrays(dataset.features, dataset.targets)
-    w = _corrected_weights(cov, cross, lam, order)
+    w = _tikhonov(cov, cross, lam, order)
     intercept = y_mean - float(w @ x_mean)
-    return LinearModel(weights=w, intercept=intercept, lam=float(lam), order=int(order))
+    return LinearModel(weights=w, intercept=intercept, lam=lam, order=order)
 
 
 def _as_rows(features, p: int) -> np.ndarray:
@@ -241,10 +263,7 @@ def filter_factor(sigma: float, lam: float, order: int = 0) -> float:
     """
     if sigma < 0:
         raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    if order < 0:
-        raise InvalidParameterError(f"order must be >= 0, got {order}")
+    lam, order = _check_lam(lam), _check_order(order)
     shrink = lam / (lam + sigma)
     return 1.0 - shrink ** (order + 1)
 
@@ -255,9 +274,6 @@ def asymptotic_bias(profile: SpectrumProfile, lam: float, order: int = 0) -> flo
     Equals sqrt(sum_i c_i^2 (lam / (lam + sigma_i))^(2(order+1))): the
     component-wise residual shrinkage left after k correction steps.
     """
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    if order < 0:
-        raise InvalidParameterError(f"order must be >= 0, got {order}")
+    lam, order = _check_lam(lam), _check_order(order)
     shrink = lam / (lam + profile.eigenvalues)
     return float(np.sqrt(np.sum(profile.coords**2 * shrink ** (2 * (order + 1)))))

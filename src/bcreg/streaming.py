@@ -33,15 +33,16 @@ from .kernels import (
     fit_kernel_regularized,
     kernel_matrix,
     predict_kernel,
-    _rkn_coeffs,
 )
 from .linear import (
     Dataset,
     LinearModel,
     _as_rows,
     _centered_arrays,
-    _corrected_weights,
+    _check_lam,
+    _check_order,
     _readonly,
+    _tikhonov,
     fit_regularized,
 )
 
@@ -153,10 +154,7 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidParameterError(f"unknown family {self.family!r}")
-        if self.order < 0:
-            raise InvalidParameterError(f"order must be >= 0, got {self.order}")
-        if self.family == "kernel" and self.order not in (0, 1):
-            raise InvalidParameterError("kernel correction order must be 0 or 1")
+        _check_order(self.order, kernel=self.family == "kernel")
 
 
 def algorithm_label(family: str, order: int) -> str:
@@ -183,41 +181,6 @@ def cv_folds(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-def _cv_errors_linear(x, y, grid, parts) -> np.ndarray:
-    """Mean validation squared error of plain ridge, per grid value."""
-    n = x.shape[0]
-    errors = np.zeros(len(grid))
-    for val_idx in parts:
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        x_tr, y_tr = x[mask], y[mask]
-        x_val, y_val = x[val_idx], y[val_idx]
-        x_mean, y_mean, cov, cross = _centered_arrays(x_tr, y_tr)
-        for g, lam in enumerate(grid):
-            w = _corrected_weights(cov, cross, lam, 0)
-            pred = (x_val - x_mean) @ w + y_mean
-            errors[g] += float(np.mean((pred - y_val) ** 2))
-    return errors / len(parts)
-
-
-def _cv_errors_kernel(x, y, grid, parts, kernel_spec) -> np.ndarray:
-    """Mean validation squared error of the order-0 kernel fit, per grid value."""
-    kmat = kernel_matrix(kernel_spec, x, x)
-    n = x.shape[0]
-    errors = np.zeros(len(grid))
-    for val_idx in parts:
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        k_tr = kmat[np.ix_(mask, mask)]
-        k_val = kmat[np.ix_(val_idx, mask)]
-        y_tr, y_val = y[mask], y[val_idx]
-        for g, lam in enumerate(grid):
-            coeffs = _rkn_coeffs(k_tr, y_tr, lam)
-            pred = k_val @ coeffs
-            errors[g] += float(np.mean((pred - y_val) ** 2))
-    return errors / len(parts)
-
-
 def select_lambda_cv(
     dataset: Dataset,
     grid,
@@ -232,12 +195,14 @@ def select_lambda_cv(
     near-equal parts; ties are broken toward the largest lambda, which
     keeps the linear systems better conditioned at no cost in CV error.
     ``rng`` may be an integer seed or a Generator.
+
+    Each fold is scored through the same order-0 solve as the fits: the
+    training rows give a system (gram, rhs), and the validation
+    predictions are design @ solution + offset.
     """
-    grid = [float(g) for g in grid]
+    grid = [_check_lam(g) for g in grid]
     if len(grid) == 0:
         raise InvalidParameterError("lambda grid must be nonempty")
-    if any(g <= 0 for g in grid):
-        raise InvalidParameterError("lambda grid values must be positive")
     if folds < 2:
         raise InvalidParameterError(f"folds must be >= 2, got {folds}")
     if dataset.n_rows < folds:
@@ -254,12 +219,29 @@ def select_lambda_cv(
         return grid_sorted[0]
 
     gen = np.random.default_rng(rng)
-    parts = cv_folds(dataset.n_rows, folds, gen)
+    n = dataset.n_rows
+    parts = cv_folds(n, folds, gen)
     x, y = dataset.features, dataset.targets
-    if family == "linear":
-        errors = _cv_errors_linear(x, y, grid_sorted, parts)
-    else:
-        errors = _cv_errors_kernel(x, y, grid_sorted, parts, kernel_spec)
+    if family == "kernel":
+        kmat = kernel_matrix(kernel_spec, x, x)
+    errors = np.zeros(len(grid_sorted))
+    for val_idx in parts:
+        train = np.ones(n, dtype=bool)
+        train[val_idx] = False
+        if family == "linear":
+            x_mean, offset, gram, rhs = _centered_arrays(x[train], y[train])
+            design = x[val_idx] - x_mean
+        else:
+            n_train = n - len(val_idx)
+            gram, rhs = kmat[np.ix_(train, train)] / n_train, y[train] / n_train
+            design, offset = kmat[np.ix_(val_idx, train)], 0.0
+        y_val = y[val_idx]
+        for g, lam in enumerate(grid_sorted):
+            pred = design @ _tikhonov(gram, rhs, lam, 0)
+            if offset:  # kernel folds have none; skip a no-op add per lambda
+                pred += offset
+            errors[g] += float(np.mean((pred - y_val) ** 2))
+    errors /= len(parts)
 
     best_lam, best_err = grid_sorted[0], errors[0]
     for lam, err in zip(grid_sorted[1:], errors[1:]):

@@ -99,6 +99,16 @@ class TestFitCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_psd_kernel_is_operation_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = [f"{x:.17g},{y:.17g}" for x, y in rng.normal(size=(30, 2))]
+        path = write(tmp_path / "d.csv", "x,y\n" + "\n".join(rows) + "\n")
+        rc = main(["fit", "--input", path, "--lambda", "1e-6", "--family", "kernel",
+                   "--kernel", "polynomial", "--degree", "3", "--offset", "-5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "not positive semi-definite" in err
+
 
 class TestUsageErrors:
     def test_unknown_model_exits_with_usage(self, capsys):
@@ -213,6 +223,16 @@ class TestStreamCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,lambda_mean,mse_rr,mse_bcrr"
         assert len(lines) == 3
+
+    def test_non_finite_grid_is_operation_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        args = [
+            "stream", "--model", "1", "--blocks", "2", "--block-size", "40",
+            "--test-size", "80", "--grid", "0.1,nan", "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestKernelStreamCommand:

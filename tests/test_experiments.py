@@ -47,8 +47,11 @@ class TestSyntheticSpec:
             SyntheticSpec("model3", n=10)
         with pytest.raises(InvalidParameterError):
             SyntheticSpec("model1", n=0)
-        with pytest.raises(InvalidParameterError):
-            SyntheticSpec("model1", n=10, snr=0.0)
+        for snr in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                SyntheticSpec("model1", n=10, snr=snr)
+            with pytest.raises(InvalidParameterError):
+                synth_nonlinear_block(10, rng=0, snr=snr)
 
 
 class TestSynthBlock:

@@ -153,13 +153,22 @@ class TestFitKernelRegularized:
 
     def test_invalid_lambda(self):
         ds = Dataset(features=np.zeros((2, 1)), targets=np.zeros(2))
-        with pytest.raises(InvalidParameterError):
-            fit_kernel_regularized(ds, GAUSS, 0.0, 0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                fit_kernel_regularized(ds, GAUSS, lam, 0)
 
     def test_invalid_order(self):
         ds = Dataset(features=np.zeros((2, 1)), targets=np.zeros(2))
-        with pytest.raises(InvalidParameterError):
-            fit_kernel_regularized(ds, GAUSS, 1.0, 2)
+        for order in (2, -1, 0.5):
+            with pytest.raises(InvalidParameterError):
+                fit_kernel_regularized(ds, GAUSS, 1.0, order)
+
+    def test_non_psd_kernel_is_degenerate(self):
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.normal(size=(30, 1)), targets=rng.normal(size=30))
+        spec = KernelSpec.polynomial(3, offset=-5.0)
+        with pytest.raises(DegenerateDataError):
+            fit_kernel_regularized(ds, spec, 1e-6, 0)
 
     def test_coefficient_identity(self):
         """c# must equal (lam I + K/n)^-1 (2 lam I + K/n) c for every fit."""

@@ -101,14 +101,20 @@ class TestFitRegularized:
         assert model.intercept == pytest.approx(ds.targets.mean(), abs=1e-9)
 
     def test_invalid_lambda(self):
-        with pytest.raises(InvalidParameterError):
-            fit_regularized(TWO_POINT, 0.0, 0)
-        with pytest.raises(InvalidParameterError):
-            fit_regularized(TWO_POINT, -1.0, 0)
+        for lam in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                fit_regularized(TWO_POINT, lam, 0)
+            with pytest.raises(InvalidParameterError):
+                asymptotic_bias(model1_profile(), lam, 0)
 
     def test_invalid_order(self):
-        with pytest.raises(InvalidParameterError):
-            fit_regularized(TWO_POINT, 1.0, -1)
+        for order in (-1, 1.5, 1.0):
+            with pytest.raises(InvalidParameterError):
+                fit_regularized(TWO_POINT, 1.0, order)
+            with pytest.raises(InvalidParameterError):
+                asymptotic_bias(model1_profile(), 0.1, order)
+            with pytest.raises(InvalidParameterError):
+                filter_factor(0.5, 0.1, order)
 
     def test_single_row_rejected(self):
         ds = Dataset(features=np.array([[1.0]]), targets=np.array([2.0]))

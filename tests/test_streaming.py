@@ -170,8 +170,9 @@ class TestSelectLambdaCv:
 
     def test_nonpositive_grid(self):
         ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
-        with pytest.raises(InvalidParameterError):
-            select_lambda_cv(ds, [0.1, -1.0], folds=3, rng=0)
+        for bad in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                select_lambda_cv(ds, [0.1, bad], folds=3, rng=0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
