@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 
@@ -50,8 +53,8 @@ from .streaming import (
 __all__ = ["parse_csv_dataset", "write_csv_dataset", "build_parser", "main", "entry"]
 
 
-def parse_csv_dataset(path) -> Dataset:
-    """Read a header-plus-rows CSV file; last column is the target."""
+def _read_csv_dataset(path) -> tuple[list[str], Dataset]:
+    """The header row and the dataset of a CSV file; last column is the target."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -83,7 +86,12 @@ def parse_csv_dataset(path) -> Dataset:
     if not rows:
         raise InsufficientDataError(f"{path}: no data rows after the header")
     data = np.array(rows, dtype=float)
-    return Dataset(features=data[:, :-1], targets=data[:, -1])
+    return header, Dataset(features=data[:, :-1], targets=data[:, -1])
+
+
+def parse_csv_dataset(path) -> Dataset:
+    """Read a header-plus-rows CSV file; last column is the target."""
+    return _read_csv_dataset(path)[1]
 
 
 def write_csv_dataset(dataset: Dataset, path, header=None) -> None:
@@ -133,8 +141,8 @@ def _bandwidth_policy(text: str):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bandwidth must be 'median' or a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("numeric bandwidth must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"numeric bandwidth must be finite and > 0, got {text}")
     return value
 
 
@@ -156,6 +164,25 @@ def _add_kernel_args(sub) -> None:
     )
     sub.add_argument("--degree", type=int, default=2, help="polynomial kernel degree")
     sub.add_argument("--offset", type=float, default=0.0, help="polynomial kernel offset")
+
+
+def _add_stream_args(sub, blocks: int, block_size: int) -> None:
+    sub.add_argument("--blocks", type=int, default=blocks,
+                     help="stream length; with --input, the chunk count "
+                     "(one random chunk becomes the test set)")
+    sub.add_argument("--block-size", type=int, default=block_size,
+                     help="rows per synthetic block")
+    sub.add_argument("--test-size", type=int, default=1000, help="synthetic test rows")
+    sub.add_argument("--orders", type=_order_list, default=[0, 1],
+                     help="comma-separated correction orders to compare")
+    sub.add_argument("--reps", type=int, default=1, help="repetitions to average over")
+    sub.add_argument("--folds", type=int, default=10, help="CV folds per block")
+    sub.add_argument("--grid", type=_float_list, default=None,
+                     help="comma-separated lambda grid (default: 25 log-spaced in [1e-6, 1e2])")
+    sub.add_argument("--snr", type=float, default=10.0)
+    sub.add_argument("--classification", action="store_true",
+                     help="also report sign-agreement error (targets must be +-1)")
+    sub.add_argument("--seed", type=_nonneg_int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,36 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model", type=int, choices=[1, 2],
                      help="synthetic benchmark id")
     src.add_argument("--input", help="CSV dataset to slice into a stream")
-    p_st.add_argument("--blocks", type=int, default=20,
-                      help="stream length; with --input, the chunk count "
-                      "(one random chunk becomes the test set)")
-    p_st.add_argument("--block-size", type=int, default=100, help="rows per synthetic block")
-    p_st.add_argument("--test-size", type=int, default=1000, help="synthetic test rows")
-    p_st.add_argument("--orders", type=_order_list, default=[0, 1],
-                      help="comma-separated correction orders to compare")
-    p_st.add_argument("--reps", type=int, default=1, help="repetitions to average over")
-    p_st.add_argument("--folds", type=int, default=10, help="CV folds per block")
-    p_st.add_argument("--grid", type=_float_list, default=None,
-                      help="comma-separated lambda grid (default: 25 log-spaced in [1e-6, 1e2])")
-    p_st.add_argument("--snr", type=float, default=10.0)
-    p_st.add_argument("--classification", action="store_true",
-                      help="also report sign-agreement error (targets must be +-1)")
-    p_st.add_argument("--seed", type=_nonneg_int, default=0)
+    _add_stream_args(p_st, blocks=20, block_size=100)
     _add_output_args(p_st)
 
     p_ks = sub.add_parser("kernel-stream",
                           help="block-streaming comparison, kernel family")
     p_ks.add_argument("--input", help="CSV dataset to slice (default: synthetic sine task)")
-    p_ks.add_argument("--blocks", type=int, default=50)
-    p_ks.add_argument("--block-size", type=int, default=50)
-    p_ks.add_argument("--test-size", type=int, default=1000)
-    p_ks.add_argument("--orders", type=_order_list, default=[0, 1])
-    p_ks.add_argument("--reps", type=int, default=1)
-    p_ks.add_argument("--folds", type=int, default=10)
-    p_ks.add_argument("--grid", type=_float_list, default=None)
-    p_ks.add_argument("--snr", type=float, default=10.0)
-    p_ks.add_argument("--classification", action="store_true")
-    p_ks.add_argument("--seed", type=_nonneg_int, default=0)
+    _add_stream_args(p_ks, blocks=50, block_size=50)
     _add_kernel_args(p_ks)
     _add_output_args(p_ks)
 
@@ -266,10 +270,7 @@ def _cmd_fit(args):
     else:
         spec = _kernel_spec_from_args(args, dataset.features)
         model = fit_kernel_regularized(dataset, spec, args.lam, args.order)
-        config["kernel"] = {
-            "kind": spec.kind, "bandwidth": spec.bandwidth,
-            "degree": spec.degree, "offset": spec.offset,
-        }
+        config["kernel"] = dataclasses.asdict(spec)
         results = {"coeffs": [float(c) for c in model.coeffs]}
         rows = [{"name": f"c{i}", "value": float(c)} for i, c in enumerate(model.coeffs)]
     payload = {"config": config, "seed": None, "results": results}
@@ -306,13 +307,35 @@ def _cmd_bias_variance(args):
     return payload, reports
 
 
-def _real_stream_data(full: Dataset, blocks: int, seed: tuple):
-    """Slice a dataset into `blocks` chunks; one random chunk is the test set."""
-    rng = np.random.default_rng((*seed, 2))
-    chunks = slice_into_chunks(full, blocks, rng)
-    test_idx = int(rng.integers(blocks))
-    test = chunks.pop(test_idx)
-    return chunks, test
+def _stream_data(args, family: str, full: Dataset | None, seed: tuple):
+    """One repetition's training blocks and test set.
+
+    With --input, `full` is sliced into --blocks chunks and one random
+    chunk becomes the test set.  Otherwise every block and the test set
+    are fresh draws from the family's synthetic task.
+    """
+    if full is not None:
+        rng = np.random.default_rng((*seed, 2))
+        blocks = slice_into_chunks(full, args.blocks, rng)
+        return blocks, blocks.pop(int(rng.integers(args.blocks)))
+    if family == "linear":
+        def draw(n, rng):
+            spec = SyntheticSpec(model_id=f"model{args.model}", n=n, snr=args.snr, seed=args.seed)
+            return synth_block(spec, rng=rng)
+    else:
+        def draw(n, rng):
+            return synth_nonlinear_block(n, rng=rng, snr=args.snr)
+    blocks = [
+        draw(args.block_size, np.random.default_rng((*seed, t, 0)))
+        for t in range(1, args.blocks + 1)
+    ]
+    return blocks, draw(args.test_size, np.random.default_rng((*seed, 0, 0)))
+
+
+def _rep_mean(series) -> list[float]:
+    """Element-wise mean of per-rep series, summed in rep order."""
+    arrays = [np.array(s) for s in series]
+    return [float(v) for v in sum(arrays) / len(arrays)]
 
 
 def _run_stream_command(args, family: str):
@@ -322,91 +345,35 @@ def _run_stream_command(args, family: str):
     cv = CvConfig(grid=grid, folds=args.folds)
     algorithms = [AlgorithmSpec(family, o) for o in args.orders]
     labels = [algorithm_label(family, o) for o in args.orders]
-
     full = parse_csv_dataset(args.input) if args.input else None
-    synthetic_model = getattr(args, "model", None)
 
-    mse_sum = {label: None for label in labels}
-    cls_sum = {label: None for label in labels}
-    lam_sum = None
-    steps = None
+    reports = []
     for rep in range(args.reps):
-        if full is not None:
-            stream_blocks, test = _real_stream_data(full, args.blocks, (args.seed, rep))
-            kernel_spec = (
-                _kernel_spec_from_args(args, stream_blocks[0].features)
-                if family == "kernel"
-                else None
-            )
-        elif family == "linear":
-            spec = SyntheticSpec(
-                model_id=f"model{synthetic_model}", n=args.block_size,
-                snr=args.snr, seed=args.seed,
-            )
-            stream_blocks = [
-                synth_block(spec, rng=np.random.default_rng((args.seed, rep, t, 0)))
-                for t in range(1, args.blocks + 1)
-            ]
-            test_spec = SyntheticSpec(
-                model_id=f"model{synthetic_model}", n=args.test_size,
-                snr=args.snr, seed=args.seed,
-            )
-            test = synth_block(test_spec, rng=np.random.default_rng((args.seed, rep, 0, 0)))
-            kernel_spec = None
-        else:
-            stream_blocks = [
-                synth_nonlinear_block(
-                    args.block_size, rng=np.random.default_rng((args.seed, rep, t, 0)),
-                    snr=args.snr,
-                )
-                for t in range(1, args.blocks + 1)
-            ]
-            test = synth_nonlinear_block(
-                args.test_size, rng=np.random.default_rng((args.seed, rep, 0, 0)),
-                snr=args.snr,
-            )
-            kernel_spec = _kernel_spec_from_args(args, stream_blocks[0].features)
-
-        report = run_block_stream(
-            stream_blocks,
-            algorithms,
-            test,
-            cv=cv,
-            seed=(args.seed, rep),
-            classification=args.classification,
-            kernel_spec=kernel_spec,
+        blocks, test = _stream_data(args, family, full, (args.seed, rep))
+        kernel_spec = (
+            _kernel_spec_from_args(args, blocks[0].features) if family == "kernel" else None
         )
-        if steps is None:
-            steps = len(report.per_step)
-            lam_sum = np.zeros(steps)
-            for label in labels:
-                mse_sum[label] = np.zeros(steps)
-                cls_sum[label] = np.zeros(steps)
-        lam_sum += np.array(report.lambdas)
-        mse_series = report.series("mse")
-        for label in labels:
-            mse_sum[label] += np.array(mse_series[label])
-        if args.classification:
-            cls_series = report.series("classification_error")
-            for label in labels:
-                cls_sum[label] += np.array(cls_series[label])
+        reports.append(run_block_stream(
+            blocks, algorithms, test, cv=cv, seed=(args.seed, rep),
+            classification=args.classification, kernel_spec=kernel_spec,
+        ))
 
-    results = {
-        "t": list(range(1, steps + 1)),
-        "lambda_mean": [float(v) for v in lam_sum / args.reps],
-        "mse": {
-            label: [float(v) for v in mse_sum[label] / args.reps] for label in labels
-        },
-    }
+    # metric -> column prefix in the CSV rows
+    metrics = {"mse": "mse"}
     if args.classification:
-        results["classification_error"] = {
-            label: [float(v) for v in cls_sum[label] / args.reps] for label in labels
-        }
+        metrics["classification_error"] = "ce"
+    results = {
+        "t": list(range(1, len(reports[0].per_step) + 1)),
+        "lambda_mean": _rep_mean(r.lambdas for r in reports),
+    }
+    for metric in metrics:
+        per_rep = [r.series(metric) for r in reports]
+        results[metric] = {label: _rep_mean(s[label] for s in per_rep) for label in labels}
 
     config = {
-        "command": "stream" if family == "linear" else "kernel-stream",
+        "command": args.command,
         "family": family,
-        "model": synthetic_model,
+        "model": getattr(args, "model", None),
         "input": args.input,
         "blocks": args.blocks,
         "block_size": None if args.input else args.block_size,
@@ -429,28 +396,16 @@ def _run_stream_command(args, family: str):
     rows = []
     for i, t in enumerate(results["t"]):
         row = {"t": t, "lambda_mean": results["lambda_mean"][i]}
-        for label in labels:
-            row[f"mse_{label}"] = results["mse"][label][i]
-        if args.classification:
+        for metric, prefix in metrics.items():
             for label in labels:
-                row[f"ce_{label}"] = results["classification_error"][label][i]
+                row[f"{prefix}_{label}"] = results[metric][label][i]
         rows.append(row)
     payload = {"config": config, "seed": args.seed, "results": results}
     return payload, rows
 
 
-def _cmd_stream(args):
-    return _run_stream_command(args, "linear")
-
-
-def _cmd_kernel_stream(args):
-    return _run_stream_command(args, "kernel")
-
-
 def _cmd_chunks(args):
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    dataset = parse_csv_dataset(args.input)
+    header, dataset = _read_csv_dataset(args.input)
     chunks = slice_into_chunks(dataset, args.m, np.random.default_rng(args.seed))
     os.makedirs(args.out_dir, exist_ok=True)
     width = len(str(args.m - 1))
@@ -474,8 +429,8 @@ def _cmd_chunks(args):
 COMMANDS = {
     "fit": _cmd_fit,
     "bias-variance": _cmd_bias_variance,
-    "stream": _cmd_stream,
-    "kernel-stream": _cmd_kernel_stream,
+    "stream": functools.partial(_run_stream_command, family="linear"),
+    "kernel-stream": functools.partial(_run_stream_command, family="kernel"),
     "chunks": _cmd_chunks,
 }
 

@@ -5,11 +5,11 @@ f(x) = sum_i c_i K(x_i, x) over the training inputs and solves the
 dense system (lambda n I + K) c = y.  The order-1 bias correction acts
 in coefficient space:
 
-    c# = c + lambda (lambda I + K/n)^-1 c.
+    c# = c + lambda (lambda I + K/n)^-1 c = c + lambda n (lambda n I + K)^-1 c.
 
-Both are the iterated-Tikhonov solve that also fits corrected ridge:
-the system is written as (lambda I + K/n) c = y/n, so one Cholesky
-factor of (lambda I + K/n) serves the fit and its correction.
+Both are the iterated-Tikhonov solve that also fits corrected ridge,
+applied to (K, y) with the shift lambda n, so one Cholesky factor of
+(lambda n I + K) serves the fit and its correction.
 
 No intercept and no target centering are used; the fit lives entirely
 in the kernel's function space.
@@ -17,13 +17,15 @@ in the kernel's function space.
 Bad input raises at the call: a lambda that is not finite and > 0, or
 an order outside {0, 1}, raises InvalidParameterError; a kernel matrix
 with non-finite entries raises InvalidDataError; a kernel that is not
-positive semi-definite, so that lambda I + K/n has no Cholesky factor
+positive semi-definite, so that lambda n I + K has no Cholesky factor
 (e.g. a polynomial kernel with a negative offset), raises
-DegenerateDataError.
+DegenerateDataError.  A Gaussian bandwidth that is not finite and > 0
+raises InvalidParameterError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +71,10 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise InvalidParameterError("gaussian kernel requires bandwidth > 0")
+            if self.bandwidth is None or not 0 < self.bandwidth < math.inf:
+                raise InvalidParameterError(
+                    f"gaussian kernel requires a finite bandwidth > 0, got {self.bandwidth}"
+                )
         if self.kind == "polynomial":
             if self.degree is None or self.degree < 1:
                 raise InvalidParameterError("polynomial kernel requires degree >= 1")
@@ -184,7 +188,7 @@ def fit_kernel_regularized(
     kmat = kernel_matrix(spec, x, x)
     if not np.all(np.isfinite(kmat)):
         raise InvalidDataError("kernel matrix contains non-finite entries")
-    coeffs = _tikhonov(kmat / n, dataset.targets / n, lam, order)
+    coeffs = _tikhonov(kmat, dataset.targets, lam * n, order)
     return KernelModel(centers=x, coeffs=coeffs, spec=spec, lam=lam, order=order)
 
 

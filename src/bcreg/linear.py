@@ -192,15 +192,15 @@ def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.n
     """Order-k iterated Tikhonov solution sum_{j=0..k} lam^j (lam I + gram)^-(j+1) rhs.
 
     Every fit in the package is this solve: corrected ridge on
-    (cov, cross) and the kernel network on (K/n, y/n).  Factors
-    (lam I + gram) once; every correction step is one extra
+    (cov, cross) and the kernel network on (K, y) with lam = lambda n.
+    Factors (lam I + gram) once; every correction step is one extra
     back-substitution, never an explicit matrix power.
     """
     try:
         factor = cho_factor(lam * np.eye(gram.shape[0]) + gram, lower=True, check_finite=False)
     except LinAlgError:
         raise DegenerateDataError(
-            f"lambda I + Gram matrix has no Cholesky factor at lambda={lam}: "
+            f"lambda I + Gram matrix has no Cholesky factor at shift {lam}: "
             "the Gram (kernel) matrix is not positive semi-definite"
         ) from None
     solution = term = cho_solve(factor, rhs, check_finite=False)
@@ -261,8 +261,8 @@ def filter_factor(sigma: float, lam: float, order: int = 0) -> float:
     [0, 1) and increases strictly with the correction order when
     sigma > 0.
     """
-    if sigma < 0:
-        raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     lam, order = _check_lam(lam), _check_order(order)
     shrink = lam / (lam + sigma)
     return 1.0 - shrink ** (order + 1)

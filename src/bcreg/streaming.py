@@ -15,7 +15,7 @@ block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -197,8 +197,10 @@ def select_lambda_cv(
     ``rng`` may be an integer seed or a Generator.
 
     Each fold is scored through the same order-0 solve as the fits: the
-    training rows give a system (gram, rhs), and the validation
-    predictions are design @ solution + offset.
+    training rows give a system (gram, rhs) solved at lambda * scale,
+    and the validation predictions are design @ solution + offset.
+    Linear folds use (cov, cross) and scale 1; kernel folds use the raw
+    (K, y) of the n_train training rows and scale n_train.
     """
     grid = [_check_lam(g) for g in grid]
     if len(grid) == 0:
@@ -230,14 +232,13 @@ def select_lambda_cv(
         train[val_idx] = False
         if family == "linear":
             x_mean, offset, gram, rhs = _centered_arrays(x[train], y[train])
-            design = x[val_idx] - x_mean
+            design, scale = x[val_idx] - x_mean, 1.0
         else:
-            n_train = n - len(val_idx)
-            gram, rhs = kmat[np.ix_(train, train)] / n_train, y[train] / n_train
-            design, offset = kmat[np.ix_(val_idx, train)], 0.0
+            gram, rhs = kmat[np.ix_(train, train)], y[train]
+            design, offset, scale = kmat[np.ix_(val_idx, train)], 0.0, n - len(val_idx)
         y_val = y[val_idx]
         for g, lam in enumerate(grid_sorted):
-            pred = design @ _tikhonov(gram, rhs, lam, 0)
+            pred = design @ _tikhonov(gram, rhs, lam * scale, 0)
             if offset:  # kernel folds have none; skip a no-op add per lambda
                 pred += offset
             errors[g] += float(np.mean((pred - y_val) ** 2))
@@ -377,13 +378,6 @@ def run_block_stream(
         "algorithms": [{"family": a.family, "order": a.order} for a in algorithms],
         "cv": {"grid": [float(g) for g in cv.grid], "folds": cv.folds},
         "classification": classification,
-        "kernel": None
-        if kernel_spec is None
-        else {
-            "kind": kernel_spec.kind,
-            "bandwidth": kernel_spec.bandwidth,
-            "degree": kernel_spec.degree,
-            "offset": kernel_spec.offset,
-        },
+        "kernel": None if kernel_spec is None else asdict(kernel_spec),
     }
     return StreamReport(per_step=tuple(per_step), seed=seed, config=config)

@@ -260,6 +260,33 @@ class TestKernelStreamCommand:
         payload = json.loads(out.read_text())
         assert payload["config"]["kernel"]["bandwidth"] == 0.8
 
+    def test_non_finite_bandwidth_is_usage_error(self, capsys):
+        for h in ("inf", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(["kernel-stream", "--blocks", "2", "--block-size", "30",
+                      "--bandwidth", h])
+            assert exc.value.code == 2
+            assert "finite" in capsys.readouterr().err
+
+    def test_real_data_stream_with_classification(self, spam_like, tmp_path):
+        out1, out2 = tmp_path / "k1.json", tmp_path / "k2.json"
+        args = [
+            "kernel-stream", "--input", spam_like, "--blocks", "5", "--orders", "0,1",
+            "--reps", "2", "--folds", "4", "--classification", "--seed", "11",
+        ]
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        results = json.loads(out1.read_text())["results"]
+        # 5 chunks, one held out for testing -> 4 stream steps
+        assert results["t"] == [1, 2, 3, 4]
+        assert len(results["lambda_mean"]) == 4
+        for metric in ("mse", "classification_error"):
+            assert set(results[metric]) == {"rkn", "bcrkn"}
+            assert all(len(series) == 4 for series in results[metric].values())
+        for series in results["classification_error"].values():
+            assert all(0.0 <= v <= 1.0 for v in series)
+
 
 class TestChunksCommand:
     def test_chunk_files_round_trip(self, tmp_path, capsys):
@@ -280,6 +307,8 @@ class TestChunksCommand:
         assert len(files) == 4
         all_targets = []
         for f in files:
+            with open(f, encoding="utf-8") as fh:
+                assert fh.readline() == "f1,f2,target\n"
             chunk = parse_csv_dataset(f)
             assert chunk.n_rows == 10
             assert (f.split("/")[-1]).startswith("chunk_")

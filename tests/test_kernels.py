@@ -26,8 +26,9 @@ class TestKernelSpec:
     def test_gaussian_requires_bandwidth(self):
         with pytest.raises(InvalidParameterError):
             KernelSpec(kind="gaussian")
-        with pytest.raises(InvalidParameterError):
-            KernelSpec.gaussian(0.0)
+        for h in (0.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidParameterError):
+                KernelSpec.gaussian(h)
 
     def test_polynomial_requires_degree(self):
         with pytest.raises(InvalidParameterError):

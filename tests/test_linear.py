@@ -153,8 +153,9 @@ class TestFilterFactor:
         assert filter_factor(1.0, 1.0, 2) == pytest.approx(0.875)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            filter_factor(-0.1, 1.0, 0)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                filter_factor(sigma, 1.0, 0)
 
     def test_range_and_monotonic_in_order(self):
         rng = np.random.default_rng(4)
