@@ -121,6 +121,8 @@ def _order_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"cannot parse orders {text!r}")
     if not orders or any(o < 0 for o in orders):
         raise argparse.ArgumentTypeError("orders must be nonnegative integers")
+    if len(set(orders)) != len(orders):
+        raise argparse.ArgumentTypeError(f"orders must not repeat, got {text!r}")
     return orders
 
 
@@ -341,6 +343,8 @@ def _rep_mean(series) -> list[float]:
 def _run_stream_command(args, family: str):
     if args.reps < 1:
         raise BcregError(f"reps must be >= 1, got {args.reps}")
+    if args.blocks < 1:
+        raise BcregError(f"blocks must be >= 1, got {args.blocks}")
     grid = tuple(args.grid) if args.grid is not None else DEFAULT_LAMBDA_GRID
     cv = CvConfig(grid=grid, folds=args.folds)
     algorithms = [AlgorithmSpec(family, o) for o in args.orders]

@@ -196,8 +196,10 @@ def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.n
     Factors (lam I + gram) once; every correction step is one extra
     back-substitution, never an explicit matrix power.
     """
+    shifted = gram.copy()
+    shifted.flat[:: gram.shape[0] + 1] += lam  # the diagonal, without an n x n eye
     try:
-        factor = cho_factor(lam * np.eye(gram.shape[0]) + gram, lower=True, check_finite=False)
+        factor = cho_factor(shifted, lower=True, check_finite=False)
     except LinAlgError:
         raise DegenerateDataError(
             f"lambda I + Gram matrix has no Cholesky factor at shift {lam}: "

@@ -8,6 +8,10 @@ base fits, maintained through the recurrence
 
 Averaging shrinks the variance of the base algorithm like 1/t while its
 bias persists, which is what makes low-bias base fits attractive here.
+A linear average is itself one affine model.  A kernel average is not,
+so a stream keeps the running sum of its kernel fits' test-set
+predictions instead: each fit is evaluated on the test set once, and
+one more block costs one more fit and one more evaluation.
 The regularization strength is re-selected by k-fold cross validation
 on every incoming block and shared by all competing algorithms on that
 block.
@@ -82,7 +86,13 @@ class AveragedLinearModel:
 
 @dataclass(frozen=True)
 class AveragedKernelModel:
-    """Running average of kernel base fits, kept as the full model list."""
+    """Running average of kernel base fits, kept as the full model list.
+
+    ``predict_averaged`` evaluates every stored model, so predicting after
+    t updates costs t kernel evaluations.  ``run_block_stream`` does not
+    build this model: it keeps the running sum of test-set predictions,
+    adding the terms in the same order, and evaluates each fit once.
+    """
 
     models: tuple[KernelModel, ...]
 
@@ -306,8 +316,10 @@ def run_block_stream(
     For each block t: cross validation on that block (order 0 of the
     shared family) picks one lambda, every listed algorithm is fitted on
     the block with it, the running averages are updated, and test-set
-    metrics of the averaged models are recorded.  Deterministic given
-    ``seed``.
+    metrics of the averaged models are recorded.  Kernel averages are
+    kept as running sums of test-set predictions, so each kernel fit is
+    evaluated once.  Algorithms must have distinct labels.
+    Deterministic given ``seed``.
     """
     blocks = list(blocks)
     if not blocks:
@@ -317,6 +329,9 @@ def run_block_stream(
     ]
     if not algorithms:
         raise InvalidParameterError("need at least one algorithm")
+    labels = [algorithm_label(a.family, a.order) for a in algorithms]
+    if len(set(labels)) != len(labels):
+        raise InvalidParameterError(f"each algorithm may appear once, got {labels}")
     families = {a.family for a in algorithms}
     if len(families) > 1:
         raise InvalidParameterError("all algorithms in one stream must share a family")
@@ -333,8 +348,10 @@ def run_block_stream(
         cv = CvConfig()
     seed = _seed_tuple(seed)
 
-    labels = [algorithm_label(a.family, a.order) for a in algorithms]
-    averaged: dict[str, AveragedModel | None] = {label: None for label in labels}
+    # label -> linear: the averaged model; kernel: the running sum of the
+    # fits' test-set predictions, added in predict_averaged's order so the
+    # bytes match it
+    averaged: dict[str, AveragedLinearModel | np.ndarray | None] = dict.fromkeys(labels)
     per_step: list[StepMetrics] = []
     for t, block in enumerate(blocks, start=1):
         try:
@@ -352,10 +369,13 @@ def run_block_stream(
             for algo, label in zip(algorithms, labels):
                 if family == "linear":
                     fit = fit_regularized(block, lam, algo.order)
+                    averaged[label] = average_update(averaged[label], fit, t)
+                    pred = predict_averaged(averaged[label], test.features)
                 else:
                     fit = fit_kernel_regularized(block, kernel_spec, lam, algo.order)
-                averaged[label] = average_update(averaged[label], fit, t)
-                pred = predict_averaged(averaged[label], test.features)
+                    fresh = predict_kernel(fit, test.features)
+                    averaged[label] = fresh if t == 1 else averaged[label] + fresh
+                    pred = averaged[label] / t
                 metrics: Metrics = compute_metrics(pred, test.targets, classification)
                 mse[label] = metrics.mse
                 if classification:

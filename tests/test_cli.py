@@ -1,6 +1,10 @@
 """CLI tests: CSV ingestion, command dispatch, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,31 @@ class TestUsageErrors:
     def test_negative_seed_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["bias-variance", "--model", "1", "--lambda", "0.1", "--seed", "-3"])
+
+    def test_repeated_orders_rejected(self, capsys):
+        for command in (["stream", "--model", "1"], ["kernel-stream"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--blocks", "2", "--orders", "0,1,0"])
+            assert exc.value.code == 2
+            assert "repeat" in capsys.readouterr().err
+
+    def test_nonpositive_blocks_is_operation_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        for command in (["stream", "--model", "1"], ["kernel-stream"]):
+            for blocks in ("0", "-1"):
+                assert main(command + ["--blocks", blocks, "--out", str(out)]) == 1
+                assert "error: blocks must be >= 1" in capsys.readouterr().err
+                assert not out.exists()
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcreg", "--help"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "kernel-stream" in proc.stdout
 
 
 class TestBiasVarianceCommand:

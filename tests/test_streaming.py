@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bcreg.streaming
 from bcreg import (
     AlgorithmSpec,
     CvConfig,
@@ -302,3 +303,60 @@ class TestRunBlockStream:
         series = report.series("classification_error")
         assert len(series["rr"]) == 2
         assert all(0.0 <= v <= 1.0 for v in series["rr"])
+
+
+def kernel_stream_inputs(seed, count):
+    rng = np.random.default_rng(seed)
+    blocks = [
+        Dataset(features=rng.uniform(-2, 2, (25, 1)), targets=rng.normal(size=25))
+        for _ in range(count)
+    ]
+    test = Dataset(features=rng.uniform(-2, 2, (40, 1)), targets=rng.normal(size=40))
+    return blocks, test
+
+
+class TestKernelRunningSum:
+    SPEC = KernelSpec.gaussian(0.9)
+    CV = CvConfig(grid=(1e-3, 0.1, 1.0), folds=5)
+
+    def test_matches_averaged_model_exactly(self):
+        blocks, test = kernel_stream_inputs(16, 6)
+        report = run_block_stream(
+            blocks, [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)], test,
+            cv=self.CV, seed=4, kernel_spec=self.SPEC,
+        )
+        for order, label in ((0, "rkn"), (1, "bcrkn")):
+            avg = None
+            for t, (block, step) in enumerate(zip(blocks, report.per_step), start=1):
+                fit = fit_kernel_regularized(block, self.SPEC, step.lam, order)
+                avg = average_update(avg, fit, t)
+                expected = compute_metrics(predict_averaged(avg, test.features), test.targets)
+                np.testing.assert_array_equal(step.mse[label], expected.mse)
+
+    def test_each_fit_is_evaluated_once(self, monkeypatch):
+        calls = []
+        original = bcreg.streaming.predict_kernel
+
+        def counting(model, rows):
+            calls.append(model)
+            return original(model, rows)
+
+        monkeypatch.setattr(bcreg.streaming, "predict_kernel", counting)
+        blocks, test = kernel_stream_inputs(17, 7)
+        algos = [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)]
+        run_block_stream(blocks, algos, test, cv=self.CV, seed=2, kernel_spec=self.SPEC)
+        assert len(calls) == len(blocks) * len(algos)
+
+    def test_duplicate_algorithms_rejected(self):
+        blocks, test = kernel_stream_inputs(18, 2)
+        with pytest.raises(InvalidParameterError, match="once"):
+            run_block_stream(
+                blocks, [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 0)], test,
+                cv=self.CV, seed=0, kernel_spec=self.SPEC,
+            )
+        lin_blocks = small_blocks(18, count=1)
+        with pytest.raises(InvalidParameterError, match="once"):
+            run_block_stream(
+                lin_blocks, [{"family": "linear", "order": 2}] * 2,
+                synth_block(SyntheticSpec("model1", n=50, seed=18), rng=4), seed=0,
+            )
