@@ -14,13 +14,15 @@ applied to (K, y) with the shift lambda n, so one Cholesky factor of
 No intercept and no target centering are used; the fit lives entirely
 in the kernel's function space.
 
-Bad input raises at the call: a lambda that is not finite and > 0, or
-an order outside {0, 1}, raises InvalidParameterError; a kernel matrix
-with non-finite entries raises InvalidDataError; a kernel that is not
-positive semi-definite, so that lambda n I + K has no Cholesky factor
-(e.g. a polynomial kernel with a negative offset), raises
-DegenerateDataError.  A Gaussian bandwidth that is not finite and > 0
-raises InvalidParameterError.
+Bad input raises at the call: a lambda that is not finite and > 0, an
+order outside {0, 1}, a Gaussian bandwidth that is not finite and > 0,
+a polynomial degree that is not an integer >= 1, or a non-finite
+polynomial offset raises InvalidParameterError.  ``kernel_matrix``
+raises InvalidDataError when an entry overflows or is NaN, so nothing
+downstream (cross validation, fits, predictions) ever sees one.  A
+kernel that is not positive semi-definite, so that lambda n I + K has
+no Cholesky factor (e.g. a polynomial kernel with a negative offset),
+raises DegenerateDataError.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .linear import Dataset, _check_lam, _check_order, _readonly, _tikhonov
+from .linear import Dataset, _as_rows, _check_int, _check_lam, _check_order, _readonly, _tikhonov
 
 __all__ = [
     "KernelSpec",
@@ -76,8 +78,9 @@ class KernelSpec:
                     f"gaussian kernel requires a finite bandwidth > 0, got {self.bandwidth}"
                 )
         if self.kind == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise InvalidParameterError("polynomial kernel requires degree >= 1")
+            _check_int(self.degree, "polynomial kernel degree", 1)
+            if not -math.inf < self.offset < math.inf:
+                raise InvalidParameterError(f"polynomial offset is not finite: {self.offset}")
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
@@ -136,7 +139,8 @@ def kernel_matrix(spec: KernelSpec, rows_a, rows_b) -> np.ndarray:
 
     When both arguments are the same array object, each unordered pair
     is evaluated once, so the result is exactly symmetric and the
-    Gaussian diagonal is exactly one.
+    Gaussian diagonal is exactly one.  Raises InvalidDataError if any
+    entry is not finite.
     """
     a = np.asarray(rows_a, dtype=float)
     b = np.asarray(rows_b, dtype=float)
@@ -145,18 +149,20 @@ def kernel_matrix(spec: KernelSpec, rows_a, rows_b) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
     same = rows_a is rows_b
-    if spec.kind == "gaussian":
-        if same:
-            sq = squareform(pdist(a, metric="sqeuclidean"))
+    # an entry that overflows is caught by the finiteness check, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if spec.kind == "gaussian":
+            sq = squareform(pdist(a, "sqeuclidean")) if same else cdist(a, b, "sqeuclidean")
+            gram = np.exp(-sq / (2.0 * spec.bandwidth**2))
         else:
-            sq = cdist(a, b, metric="sqeuclidean")
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
-    gram = a @ b.T
-    if spec.kind == "polynomial":
-        gram = (gram + spec.offset) ** spec.degree
-    if same:
-        # mirror the upper triangle so K == K.T holds bitwise
-        gram = np.triu(gram) + np.triu(gram, 1).T
+            gram = a @ b.T
+            if spec.kind == "polynomial":
+                gram = (gram + spec.offset) ** spec.degree
+            if same:
+                # mirror the upper triangle so K == K.T holds bitwise
+                gram = np.triu(gram) + np.triu(gram, 1).T
+    if not np.all(np.isfinite(gram)):
+        raise InvalidDataError("kernel matrix contains non-finite entries")
     return gram
 
 
@@ -184,22 +190,11 @@ def fit_kernel_regularized(
     """Fit the kernel network (order 0) or its corrected variant (order 1)."""
     lam, order = _check_lam(lam), _check_order(order, kernel=True)
     x = dataset.features
-    n = dataset.n_rows
-    kmat = kernel_matrix(spec, x, x)
-    if not np.all(np.isfinite(kmat)):
-        raise InvalidDataError("kernel matrix contains non-finite entries")
-    coeffs = _tikhonov(kmat, dataset.targets, lam * n, order)
+    coeffs = _tikhonov(kernel_matrix(spec, x, x), dataset.targets, lam * dataset.n_rows, order)
     return KernelModel(centers=x, coeffs=coeffs, spec=spec, lam=lam, order=order)
 
 
 def predict_kernel(model: KernelModel, rows) -> np.ndarray:
     """Evaluate the kernel expansion on m rows, returning length-m output."""
-    x = np.asarray(rows, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != model.centers.shape[1]:
-            raise ShapeError(
-                f"expected {model.centers.shape[1]} columns, got vector of length {x.shape[0]}"
-            )
-        x = x[np.newaxis, :]
-    cross = kernel_matrix(model.spec, x, model.centers)
+    cross = kernel_matrix(model.spec, _as_rows(rows, model.centers.shape[1]), model.centers)
     return cross @ model.coeffs

@@ -61,14 +61,20 @@ def _check_lam(lam) -> float:
     return value
 
 
+def _check_int(value, name: str, low: int) -> int:
+    """``value`` as an int, if it is an integer (not a float) >= ``low``."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        k = low - 1
+    if k < low:
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return k
+
+
 def _check_order(order, kernel: bool = False) -> int:
     """The correction order as an int, if it is an integer >= 0 (<= 1 for kernels)."""
-    try:
-        k = operator.index(order)
-    except TypeError:
-        k = -1
-    if k < 0:
-        raise InvalidParameterError(f"order must be an integer >= 0, got {order!r}")
+    k = _check_int(order, "order", 0)
     if kernel and k > 1:
         raise InvalidParameterError(f"kernel correction order must be 0 or 1, got {k}")
     return k

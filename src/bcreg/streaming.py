@@ -1,17 +1,15 @@
-"""Block-wise incremental learning with running-average models.
+"""Block-wise incremental learning with running-average predictors.
 
 Data arrives in fixed-size blocks.  A base algorithm is fitted to each
 block and the predictor in use at time t is the plain average of the t
-base fits, maintained through the recurrence
-
-    avg_t = ((t - 1) / t) avg_{t-1} + (1 / t) fit_t.
+base fits.  Averaging is linear, so a stream keeps, per algorithm, the
+running sum of its fits' test-set predictions and scores sum / t: each
+fit is evaluated once, and one more block costs one more fit and one
+more evaluation.  ``average_update`` and ``predict_averaged`` build the
+averaged model itself, avg_t = ((t - 1) / t) avg_{t-1} + (1 / t) fit_t.
 
 Averaging shrinks the variance of the base algorithm like 1/t while its
 bias persists, which is what makes low-bias base fits attractive here.
-A linear average is itself one affine model.  A kernel average is not,
-so a stream keeps the running sum of its kernel fits' test-set
-predictions instead: each fit is evaluated on the test set once, and
-one more block costs one more fit and one more evaluation.
 The regularization strength is re-selected by k-fold cross validation
 on every incoming block and shared by all competing algorithms on that
 block.
@@ -41,13 +39,14 @@ from .kernels import (
 from .linear import (
     Dataset,
     LinearModel,
-    _as_rows,
     _centered_arrays,
+    _check_int,
     _check_lam,
     _check_order,
     _readonly,
     _tikhonov,
     fit_regularized,
+    predict_linear,
 )
 
 __all__ = [
@@ -89,9 +88,8 @@ class AveragedKernelModel:
     """Running average of kernel base fits, kept as the full model list.
 
     ``predict_averaged`` evaluates every stored model, so predicting after
-    t updates costs t kernel evaluations.  ``run_block_stream`` does not
-    build this model: it keeps the running sum of test-set predictions,
-    adding the terms in the same order, and evaluates each fit once.
+    t updates costs t kernel evaluations.  ``run_block_stream`` builds
+    neither averaged model: it sums each fit's test-set predictions once.
     """
 
     models: tuple[KernelModel, ...]
@@ -146,12 +144,8 @@ def average_update(current, fresh, t: int):
 def predict_averaged(model: AveragedModel, rows) -> np.ndarray:
     """Evaluate a running-average model on m rows."""
     if isinstance(model, AveragedLinearModel):
-        x = _as_rows(rows, model.weights.shape[0])
-        return x @ model.weights + model.intercept
-    total = predict_kernel(model.models[0], rows)
-    for m in model.models[1:]:
-        total = total + predict_kernel(m, rows)
-    return total / model.count
+        return predict_linear(model, rows)
+    return sum(predict_kernel(m, rows) for m in model.models) / model.count
 
 
 @dataclass(frozen=True)
@@ -188,7 +182,7 @@ class CvConfig:
 def cv_folds(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Seeded random partition of range(n) into near-equal index sets."""
     perm = rng.permutation(n)
-    return [np.sort(part) for part in np.array_split(perm, folds)]
+    return [np.sort(part) for part in np.array_split(perm, _check_int(folds, "folds", 2))]
 
 
 def select_lambda_cv(
@@ -215,8 +209,7 @@ def select_lambda_cv(
     grid = [_check_lam(g) for g in grid]
     if len(grid) == 0:
         raise InvalidParameterError("lambda grid must be nonempty")
-    if folds < 2:
-        raise InvalidParameterError(f"folds must be >= 2, got {folds}")
+    folds = _check_int(folds, "folds", 2)
     if dataset.n_rows < folds:
         raise InsufficientDataError(
             f"need at least {folds} rows for {folds}-fold CV, got {dataset.n_rows}"
@@ -315,10 +308,10 @@ def run_block_stream(
 
     For each block t: cross validation on that block (order 0 of the
     shared family) picks one lambda, every listed algorithm is fitted on
-    the block with it, the running averages are updated, and test-set
-    metrics of the averaged models are recorded.  Kernel averages are
-    kept as running sums of test-set predictions, so each kernel fit is
-    evaluated once.  Algorithms must have distinct labels.
+    the block with it, and each fit is evaluated once on the test set.
+    Each algorithm's predictions are summed over the blocks, and the
+    averaged predictor's test-set metrics at step t are those of
+    sum / t.  Algorithms must have distinct labels.
     Deterministic given ``seed``.
     """
     blocks = list(blocks)
@@ -348,10 +341,8 @@ def run_block_stream(
         cv = CvConfig()
     seed = _seed_tuple(seed)
 
-    # label -> linear: the averaged model; kernel: the running sum of the
-    # fits' test-set predictions, added in predict_averaged's order so the
-    # bytes match it
-    averaged: dict[str, AveragedLinearModel | np.ndarray | None] = dict.fromkeys(labels)
+    # label -> running sum of the block fits' test-set predictions
+    sums = dict.fromkeys(labels, 0.0)
     per_step: list[StepMetrics] = []
     for t, block in enumerate(blocks, start=1):
         try:
@@ -369,14 +360,12 @@ def run_block_stream(
             for algo, label in zip(algorithms, labels):
                 if family == "linear":
                     fit = fit_regularized(block, lam, algo.order)
-                    averaged[label] = average_update(averaged[label], fit, t)
-                    pred = predict_averaged(averaged[label], test.features)
+                    fresh = predict_linear(fit, test.features)
                 else:
                     fit = fit_kernel_regularized(block, kernel_spec, lam, algo.order)
                     fresh = predict_kernel(fit, test.features)
-                    averaged[label] = fresh if t == 1 else averaged[label] + fresh
-                    pred = averaged[label] / t
-                metrics: Metrics = compute_metrics(pred, test.targets, classification)
+                sums[label] = sums[label] + fresh
+                metrics: Metrics = compute_metrics(sums[label] / t, test.targets, classification)
                 mse[label] = metrics.mse
                 if classification:
                     cls_err[label] = metrics.classification_error

@@ -24,6 +24,16 @@ def write(path, text):
     return str(path)
 
 
+def run_module(*args):
+    """Run ``python -m bcreg`` in a fresh interpreter, with its default warning filters."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "bcreg", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+
+
 class TestParseCsvDataset:
     def test_basic(self, tmp_path):
         path = write(tmp_path / "d.csv", "x1,x2,y\n1,2,3\n4,5,6\n")
@@ -146,12 +156,7 @@ class TestUsageErrors:
                 assert not out.exists()
 
     def test_module_entry_point(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "bcreg", "--help"], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0, proc.stderr
         assert "kernel-stream" in proc.stdout
 
@@ -296,6 +301,17 @@ class TestKernelStreamCommand:
                       "--bandwidth", h])
             assert exc.value.code == 2
             assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_kernel_is_operation_error(self, tmp_path):
+        out = tmp_path / "k.json"
+        base = ["kernel-stream", "--kernel", "polynomial", "--degree", "400", "--blocks", "2",
+                "--block-size", "20", "--test-size", "20", "--out", str(out)]
+        for offset in ("5", "nan"):
+            proc = run_module(*base, "--offset", offset)
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error:"), proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+            assert not out.exists()
 
     def test_real_data_stream_with_classification(self, spam_like, tmp_path):
         out1, out2 = tmp_path / "k1.json", tmp_path / "k2.json"

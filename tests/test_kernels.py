@@ -7,6 +7,7 @@ from bcreg import (
     Dataset,
     DegenerateDataError,
     InsufficientDataError,
+    InvalidDataError,
     InvalidParameterError,
     KernelSpec,
     ShapeError,
@@ -33,8 +34,12 @@ class TestKernelSpec:
     def test_polynomial_requires_degree(self):
         with pytest.raises(InvalidParameterError):
             KernelSpec(kind="polynomial")
-        with pytest.raises(InvalidParameterError):
-            KernelSpec.polynomial(0)
+        for degree in (0, 2.5, 2.0, "2"):
+            with pytest.raises(InvalidParameterError):
+                KernelSpec.polynomial(degree)
+        for offset in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParameterError):
+                KernelSpec.polynomial(2, offset)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError):
@@ -82,6 +87,12 @@ class TestKernelMatrix:
     def test_column_mismatch(self):
         with pytest.raises(ShapeError):
             kernel_matrix(GAUSS, np.zeros((3, 4)), np.zeros((2, 5)))
+
+    def test_overflow_is_invalid_data(self):
+        rows = np.full((3, 2), 10.0)
+        for same in (True, False):
+            with pytest.raises(InvalidDataError):
+                kernel_matrix(KernelSpec.polynomial(400, 5.0), rows, rows if same else rows + 1)
 
     def test_exact_symmetry_all_kinds(self):
         rng = np.random.default_rng(9)

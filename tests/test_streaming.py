@@ -16,6 +16,7 @@ from bcreg import (
     SequencingError,
     ShapeError,
     SyntheticSpec,
+    algorithm_label,
     average_update,
     compute_metrics,
     cv_folds,
@@ -174,6 +175,14 @@ class TestSelectLambdaCv:
         for bad in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(InvalidParameterError):
                 select_lambda_cv(ds, [0.1, bad], folds=3, rng=0)
+
+    def test_invalid_folds(self):
+        ds = Dataset(features=np.arange(24.0).reshape(12, 2), targets=np.zeros(12))
+        for bad in (2.5, 2.0, "3", None, 1, 0, -2):
+            with pytest.raises(InvalidParameterError):
+                select_lambda_cv(ds, [0.1, 1.0], folds=bad, rng=0)
+            with pytest.raises(InvalidParameterError):
+                cv_folds(10, bad, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
@@ -360,3 +369,37 @@ class TestKernelRunningSum:
                 lin_blocks, [{"family": "linear", "order": 2}] * 2,
                 synth_block(SyntheticSpec("model1", n=50, seed=18), rng=4), seed=0,
             )
+
+
+class TestLinearRunningSum:
+    ALGOS = [AlgorithmSpec("linear", 0), AlgorithmSpec("linear", 1), AlgorithmSpec("linear", 2)]
+    CV = CvConfig(grid=(1e-3, 0.1, 1.0), folds=5)
+
+    def test_matches_averaged_model(self):
+        blocks = small_blocks(19, count=6)
+        test = synth_block(SyntheticSpec("model1", n=120, seed=19), rng=5)
+        report = run_block_stream(blocks, self.ALGOS, test, cv=self.CV, seed=6)
+        for algo in self.ALGOS:
+            label = algorithm_label("linear", algo.order)
+            avg = None
+            for t, (block, step) in enumerate(zip(blocks, report.per_step), start=1):
+                avg = average_update(avg, fit_regularized(block, step.lam, algo.order), t)
+                expected = compute_metrics(predict_averaged(avg, test.features), test.targets)
+                if t == 1:
+                    assert step.mse[label] == expected.mse
+                else:
+                    assert step.mse[label] == pytest.approx(expected.mse, rel=1e-12)
+
+    def test_each_fit_is_evaluated_once(self, monkeypatch):
+        calls = []
+        original = bcreg.streaming.predict_linear
+
+        def counting(model, rows):
+            calls.append(model)
+            return original(model, rows)
+
+        monkeypatch.setattr(bcreg.streaming, "predict_linear", counting)
+        blocks = small_blocks(20, count=5)
+        test = synth_block(SyntheticSpec("model1", n=80, seed=20), rng=6)
+        run_block_stream(blocks, self.ALGOS, test, cv=self.CV, seed=1)
+        assert len(calls) == len(blocks) * len(self.ALGOS)
