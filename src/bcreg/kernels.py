@@ -20,9 +20,10 @@ a polynomial degree that is not an integer >= 1, or a non-finite
 polynomial offset raises InvalidParameterError.  ``kernel_matrix``
 raises InvalidDataError when an entry overflows or is NaN, so nothing
 downstream (cross validation, fits, predictions) ever sees one.  A
-kernel that is not positive semi-definite, so that lambda n I + K has
-no Cholesky factor (e.g. a polynomial kernel with a negative offset),
-raises DegenerateDataError.
+kernel that is not positive semi-definite raises DegenerateDataError
+(e.g. a polynomial kernel with a negative offset): in a fit when
+lambda n I + K has no Cholesky factor, and in cross validation when a
+fold's eigenvalues s give s_min + lambda n_train <= 0 for a grid value.
 """
 
 from __future__ import annotations
@@ -121,17 +122,10 @@ class KernelModel:
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """Evaluate the kernel on a single pair of vectors."""
+    """Evaluate the kernel on a single pair of vectors, as a 1 x 1 ``kernel_matrix``."""
     av = np.asarray(a, dtype=float).ravel()
     bv = np.asarray(b, dtype=float).ravel()
-    if av.shape != bv.shape:
-        raise ShapeError(f"vector lengths differ: {av.shape[0]} vs {bv.shape[0]}")
-    if spec.kind == "gaussian":
-        sq = float(np.sum((av - bv) ** 2))
-        return float(np.exp(-sq / (2.0 * spec.bandwidth**2)))
-    if spec.kind == "linear":
-        return float(av @ bv)
-    return float((av @ bv + spec.offset) ** spec.degree)
+    return float(kernel_matrix(spec, av[None], bv[None])[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, rows_a, rows_b) -> np.ndarray:

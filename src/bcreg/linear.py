@@ -197,7 +197,7 @@ def center(dataset: Dataset) -> CenteredStats:
 def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.ndarray:
     """Order-k iterated Tikhonov solution sum_{j=0..k} lam^j (lam I + gram)^-(j+1) rhs.
 
-    Every fit in the package is this solve: corrected ridge on
+    Every fit and every linear CV fold is this solve: corrected ridge on
     (cov, cross) and the kernel network on (K, y) with lam = lambda n.
     Factors (lam I + gram) once; every correction step is one extra
     back-substitution, never an explicit matrix power.
@@ -216,6 +216,23 @@ def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.n
         term = lam * cho_solve(factor, term, check_finite=False)
         solution = solution + term
     return solution
+
+
+def _ridge_path(gram: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Order-0 solutions (mu I + gram)^-1 rhs for every mu in shifts, as columns.
+
+    One eigendecomposition gram = U diag(s) U' serves the whole path as
+    the spectral filter 1 / (s + mu); a shift with s_min + mu <= 0 is
+    where the Cholesky factor of ``_tikhonov`` would not exist.
+    """
+    s, u = np.linalg.eigh(gram)
+    failing = shifts[s[0] + shifts <= 0]
+    if failing.size:
+        raise DegenerateDataError(
+            f"lambda I + Gram matrix is not positive definite at shift {failing[0]}: "
+            "the Gram (kernel) matrix is not positive semi-definite"
+        )
+    return u @ ((u.T @ rhs)[:, None] / (s[:, None] + shifts))
 
 
 def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel:

@@ -44,6 +44,7 @@ from .linear import (
     _check_lam,
     _check_order,
     _readonly,
+    _ridge_path,
     _tikhonov,
     fit_regularized,
     predict_linear,
@@ -200,11 +201,13 @@ def select_lambda_cv(
     keeps the linear systems better conditioned at no cost in CV error.
     ``rng`` may be an integer seed or a Generator.
 
-    Each fold is scored through the same order-0 solve as the fits: the
-    training rows give a system (gram, rhs) solved at lambda * scale,
-    and the validation predictions are design @ solution + offset.
-    Linear folds use (cov, cross) and scale 1; kernel folds use the raw
-    (K, y) of the n_train training rows and scale n_train.
+    Each fold scores the order-0 solve of its training rows on its
+    validation rows.  Linear folds solve (cov, cross) at each lambda
+    through the fits' Cholesky solve and predict design @ w + y_mean.
+    Kernel folds take the raw (K, y) of the n_train training rows and
+    get every lambda n_train in the grid from one eigendecomposition of
+    that K.  A kernel that is not positive semi-definite raises
+    DegenerateDataError.
     """
     grid = [_check_lam(g) for g in grid]
     if len(grid) == 0:
@@ -228,22 +231,23 @@ def select_lambda_cv(
     parts = cv_folds(n, folds, gen)
     x, y = dataset.features, dataset.targets
     if family == "kernel":
-        kmat = kernel_matrix(kernel_spec, x, x)
+        kmat, shifts = kernel_matrix(kernel_spec, x, x), np.array(grid_sorted)
     errors = np.zeros(len(grid_sorted))
     for val_idx in parts:
         train = np.ones(n, dtype=bool)
         train[val_idx] = False
-        if family == "linear":
-            x_mean, offset, gram, rhs = _centered_arrays(x[train], y[train])
-            design, scale = x[val_idx] - x_mean, 1.0
-        else:
-            gram, rhs = kmat[np.ix_(train, train)], y[train]
-            design, offset, scale = kmat[np.ix_(val_idx, train)], 0.0, n - len(val_idx)
         y_val = y[val_idx]
+        if family == "kernel":
+            design = kmat[np.ix_(val_idx, train)]
+            path = _ridge_path(kmat[np.ix_(train, train)], y[train], shifts * (n - len(val_idx)))
+            errors += np.mean((design @ path - y_val[:, None]) ** 2, axis=0)
+            continue
+        x_mean, offset, gram, rhs = _centered_arrays(x[train], y[train])
+        design = x[val_idx] - x_mean
+        # one Cholesky per lambda, not one _ridge_path, until bench/test_bench.py's
+        # pin of 250 factorizations per linear CV call is restated
         for g, lam in enumerate(grid_sorted):
-            pred = design @ _tikhonov(gram, rhs, lam * scale, 0)
-            if offset:  # kernel folds have none; skip a no-op add per lambda
-                pred += offset
+            pred = design @ _tikhonov(gram, rhs, lam, 0) + offset
             errors[g] += float(np.mean((pred - y_val) ** 2))
     errors /= len(parts)
 

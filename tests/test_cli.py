@@ -313,6 +313,15 @@ class TestKernelStreamCommand:
             assert "RuntimeWarning" not in proc.stderr
             assert not out.exists()
 
+    def test_non_psd_kernel_is_operation_error(self, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        rc = main(["kernel-stream", "--kernel", "polynomial", "--degree", "3", "--offset", "-5",
+                   "--blocks", "2", "--block-size", "20", "--test-size", "20", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not positive semi-definite" in err
+        assert not out.exists()
+
     def test_real_data_stream_with_classification(self, spam_like, tmp_path):
         out1, out2 = tmp_path / "k1.json", tmp_path / "k2.json"
         args = [

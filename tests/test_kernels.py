@@ -66,6 +66,10 @@ class TestKernelEval:
         with pytest.raises(ShapeError):
             kernel_eval(GAUSS, [1.0], [1.0, 2.0])
 
+    def test_overflow_is_invalid_data(self):
+        with pytest.raises(InvalidDataError):
+            kernel_eval(KernelSpec.polynomial(400, 5.0), [10.0, 10.0], [10.0, 10.0])
+
 
 class TestKernelMatrix:
     def test_self_matrix_symmetric_unit_diagonal(self):

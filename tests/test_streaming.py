@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import bcreg.linear
 import bcreg.streaming
 from bcreg import (
+    DEFAULT_LAMBDA_GRID,
     AlgorithmSpec,
     CvConfig,
     Dataset,
+    DegenerateDataError,
     InsufficientDataError,
     InvalidParameterError,
     InvalidStateError,
@@ -22,6 +26,7 @@ from bcreg import (
     cv_folds,
     fit_kernel_regularized,
     fit_regularized,
+    kernel_matrix,
     predict_averaged,
     predict_kernel,
     predict_linear,
@@ -132,6 +137,47 @@ def ridge_cv_oracle(dataset, grid, folds, rng):
     return errors
 
 
+def kernel_cv_oracle(dataset, grid, folds, rng, spec):
+    """Direct kernel CV objective: one np.linalg.solve per fold and lambda."""
+    parts = cv_folds(dataset.n_rows, folds, rng)
+    x, y = dataset.features, dataset.targets
+    errors = np.zeros(len(grid))
+    for val_idx in parts:
+        mask = np.ones(dataset.n_rows, dtype=bool)
+        mask[val_idx] = False
+        n_tr = int(mask.sum())
+        k_tr = kernel_matrix(spec, x[mask], x[mask])
+        k_val = kernel_matrix(spec, x[val_idx], x[mask])
+        for g, lam in enumerate(grid):
+            c = np.linalg.solve(lam * n_tr * np.eye(n_tr) + k_tr, y[mask])
+            errors[g] += float(np.mean((k_val @ c - y[val_idx]) ** 2))
+    return list(errors / folds)
+
+
+def largest_minimizer(grid, errors):
+    """The CV pick: the largest lambda among those with the least error."""
+    return max(lam for lam, e in zip(grid, errors) if e == min(errors))
+
+
+def count_factorizations(monkeypatch):
+    """Count numpy eigh calls and scipy Cholesky factorizations from here on."""
+    counts = {"eigh": 0, "cho_factor": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(np.linalg, "eigh")
+    counting(scipy.linalg, "cho_factor")
+    counting(bcreg.linear, "cho_factor")  # linear.py's own reference to scipy's
+    return counts
+
+
 class TestSelectLambdaCv:
     def test_singleton_grid(self):
         ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
@@ -155,10 +201,7 @@ class TestSelectLambdaCv:
         grid = [1e-4, 1e-2, 1.0, 100.0]
         picked = select_lambda_cv(ds, grid, folds=5, rng=11)
         errors = ridge_cv_oracle(ds, grid, 5, np.random.default_rng(11))
-        best = max(
-            (lam for lam, e in zip(grid, errors) if e == min(errors)), default=None
-        )
-        assert picked == best
+        assert picked == largest_minimizer(grid, errors)
 
     def test_insufficient_rows(self):
         ds = Dataset(features=np.zeros((5, 1)), targets=np.zeros(5))
@@ -203,6 +246,45 @@ class TestSelectLambdaCv:
             ds, [1e-6, 1e2], folds=5, rng=1, family="kernel", kernel_spec=spec
         )
         assert picked == 1e-6  # near-noiseless smooth target prefers light shrinkage
+
+    def test_kernel_family_matches_brute_force(self):
+        """The one-eigh-per-fold grid picks what per-lambda solves pick."""
+        rng = np.random.default_rng(61)
+        grid = list(DEFAULT_LAMBDA_GRID)
+        for case in range(20):
+            n, p = int(rng.integers(30, 61)), int(rng.integers(1, 4))
+            x = rng.uniform(-1.5, 1.5, size=(n, p))
+            y = np.sin(x.sum(axis=1)) + rng.uniform(0.01, 0.5) * rng.normal(size=n)
+            ds = Dataset(features=x, targets=y)
+            if case % 2:
+                spec = KernelSpec.polynomial(int(rng.integers(2, 4)), rng.uniform(0.5, 2.0))
+            else:
+                spec = KernelSpec.gaussian(rng.uniform(0.3, 2.0))
+            folds, seed = int(rng.choice([5, 10])), int(rng.integers(1000))
+            picked = select_lambda_cv(
+                ds, grid, folds=folds, rng=seed, family="kernel", kernel_spec=spec
+            )
+            errors = kernel_cv_oracle(ds, grid, folds, np.random.default_rng(seed), spec)
+            assert picked == largest_minimizer(grid, errors), (case, spec)
+
+    def test_non_psd_kernel_is_degenerate(self):
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.normal(size=(30, 1)), targets=rng.normal(size=30))
+        spec = KernelSpec.polynomial(3, offset=-5.0)
+        with pytest.raises(DegenerateDataError, match="not positive semi-definite"):
+            select_lambda_cv(ds, [1e-6, 1.0], folds=5, rng=0, family="kernel", kernel_spec=spec)
+
+    def test_factorizations_per_call(self, monkeypatch):
+        """Kernel CV: one eigh per fold.  Linear CV: one Cholesky per fold and lambda."""
+        rng = np.random.default_rng(8)
+        ds = Dataset(features=rng.normal(size=(50, 3)), targets=rng.normal(size=50))
+        counts = count_factorizations(monkeypatch)
+        select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=0, family="kernel",
+                         kernel_spec=KernelSpec.gaussian(1.0))
+        assert counts == {"eigh": 10, "cho_factor": 0}
+        counts.update(eigh=0, cho_factor=0)
+        select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=0)
+        assert counts == {"eigh": 0, "cho_factor": 250}
 
     def test_kernel_family_requires_spec(self):
         ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
