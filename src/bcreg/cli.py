@@ -53,10 +53,18 @@ from .streaming import (
 __all__ = ["parse_csv_dataset", "write_csv_dataset", "build_parser", "main", "entry"]
 
 
+def _utf8_lines(fh, path):
+    """The lines of a file opened as UTF-8 text; invalid bytes raise CsvFormatError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_csv_dataset(path) -> tuple[list[str], Dataset]:
     """The header row and the dataset of a CSV file; last column is the target."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         header = next(reader, None)
         if header is None:
             raise CsvFormatError(f"{path}: empty file, expected a header row")
@@ -345,6 +353,10 @@ def _run_stream_command(args, family: str):
         raise BcregError(f"reps must be >= 1, got {args.reps}")
     if args.blocks < 1:
         raise BcregError(f"blocks must be >= 1, got {args.blocks}")
+    if args.input and args.blocks < 2:
+        raise BcregError(
+            f"with --input, blocks must be >= 2 (one chunk is the test set), got {args.blocks}"
+        )
     grid = tuple(args.grid) if args.grid is not None else DEFAULT_LAMBDA_GRID
     cv = CvConfig(grid=grid, folds=args.folds)
     algorithms = [AlgorithmSpec(family, o) for o in args.orders]

@@ -110,35 +110,29 @@ def synth_block(spec: SyntheticSpec, rng=None) -> Dataset:
 
 
 @functools.lru_cache(maxsize=None)
-def _nonlinear_signal_variance(lo: float, hi: float) -> float:
-    """Var(sin(3x) / (1 + x^2)) for x uniform on [lo, hi], by quadrature."""
+def _nonlinear_signal_variance() -> float:
+    """Var(sin(3x) / (1 + x^2)) for x uniform on [-3, 3], by quadrature."""
     def f(x):
         return np.sin(3.0 * x) / (1.0 + x * x)
 
-    width = hi - lo
-    mean = quad(f, lo, hi, limit=200)[0] / width
-    second = quad(lambda x: f(x) ** 2, lo, hi, limit=200)[0] / width
+    mean = quad(f, -3.0, 3.0, limit=200)[0] / 6.0
+    second = quad(lambda x: f(x) ** 2, -3.0, 3.0, limit=200)[0] / 6.0
     return second - mean**2
 
 
-def synth_nonlinear_block(
-    n: int, rng, snr: float = 10.0, x_range: tuple[float, float] = (-3.0, 3.0)
-) -> Dataset:
+def synth_nonlinear_block(n: int, rng, snr: float = 10.0) -> Dataset:
     """Draw a 1-d nonlinear regression block y = sin(3x)/(1+x^2) + noise.
 
-    x is uniform on ``x_range`` and the Gaussian noise variance is set to
+    x is uniform on [-3, 3] and the Gaussian noise variance is set to
     Var(signal) / snr, with the signal variance obtained by quadrature.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     if not (np.isfinite(snr) and snr > 0):
         raise InvalidParameterError(f"snr must be finite and positive, got {snr}")
-    lo, hi = float(x_range[0]), float(x_range[1])
-    if not hi > lo:
-        raise InvalidParameterError("x_range must be an increasing interval")
     gen = np.random.default_rng(rng)
-    x = gen.uniform(lo, hi, size=n)
-    noise_sd = np.sqrt(_nonlinear_signal_variance(lo, hi) / snr)
+    x = gen.uniform(-3.0, 3.0, size=n)
+    noise_sd = np.sqrt(_nonlinear_signal_variance() / snr)
     y = np.sin(3.0 * x) / (1.0 + x * x) + gen.standard_normal(n) * noise_sd
     return Dataset(features=x[:, np.newaxis], targets=y)
 

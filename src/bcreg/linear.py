@@ -169,15 +169,21 @@ class SpectrumProfile:
 
 
 def _centered_arrays(x: np.ndarray, y: np.ndarray):
-    """Means, covariance, and cross moment of already-validated arrays."""
+    """Means, covariance, and cross moment of already-validated arrays.
+
+    Raises InvalidDataError where the moments overflow, without a numpy warning.
+    """
     n = x.shape[0]
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
     xc = x - x_mean
     yc = y - y_mean
-    cov = xc.T @ xc / n
-    cov = (cov + cov.T) / 2.0  # exact symmetry despite BLAS rounding
-    cross = xc.T @ yc / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = xc.T @ xc / n
+        cov = (cov + cov.T) / 2.0  # exact symmetry despite BLAS rounding
+        cross = xc.T @ yc / n
+    if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(cross))):
+        raise InvalidDataError("the data's second moments overflow; rescale the data")
     return x_mean, y_mean, cov, cross
 
 

@@ -17,7 +17,7 @@ block.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,16 +201,18 @@ def select_lambda_cv(
     keeps the linear systems better conditioned at no cost in CV error.
     ``rng`` may be an integer seed or a Generator.
 
-    Each fold scores the order-0 solve of its training rows on its
-    validation rows.  Linear folds solve (cov, cross) at each lambda
-    through the fits' Cholesky solve and predict design @ w + y_mean.
-    Kernel folds take the raw (K, y) of the n_train training rows and
-    get every lambda n_train in the grid from one eigendecomposition of
-    that K.  A kernel that is not positive semi-definite raises
-    DegenerateDataError.
+    Every fold runs one body: the family picks the fold's validation
+    design, its offset and the path of order-0 training solutions, one
+    column per grid value, and the fold scores the whole grid as
+    design @ path + offset.  Linear folds take (cov, cross) of their
+    training rows, offset y_mean, and build the path from one Cholesky
+    solve per lambda.  Kernel folds take the raw (K, y) of the n_train
+    training rows and get every lambda n_train from one
+    eigendecomposition of that K.  A kernel that is not positive
+    semi-definite raises DegenerateDataError.
     """
-    grid = [_check_lam(g) for g in grid]
-    if len(grid) == 0:
+    grid = np.unique([_check_lam(g) for g in grid])
+    if grid.size == 0:
         raise InvalidParameterError("lambda grid must be nonempty")
     folds = _check_int(folds, "folds", 2)
     if dataset.n_rows < folds:
@@ -221,41 +223,30 @@ def select_lambda_cv(
         raise InvalidParameterError(f"unknown family {family!r}")
     if family == "kernel" and kernel_spec is None:
         raise InvalidParameterError("kernel family requires a kernel_spec")
+    if grid.size == 1:
+        return float(grid[0])
 
-    grid_sorted = sorted(set(grid))
-    if len(grid_sorted) == 1:
-        return grid_sorted[0]
-
-    gen = np.random.default_rng(rng)
     n = dataset.n_rows
-    parts = cv_folds(n, folds, gen)
+    parts = cv_folds(n, folds, np.random.default_rng(rng))
     x, y = dataset.features, dataset.targets
     if family == "kernel":
-        kmat, shifts = kernel_matrix(kernel_spec, x, x), np.array(grid_sorted)
-    errors = np.zeros(len(grid_sorted))
+        kmat = kernel_matrix(kernel_spec, x, x)
+    errors = np.zeros(grid.size)
     for val_idx in parts:
         train = np.ones(n, dtype=bool)
         train[val_idx] = False
-        y_val = y[val_idx]
         if family == "kernel":
-            design = kmat[np.ix_(val_idx, train)]
-            path = _ridge_path(kmat[np.ix_(train, train)], y[train], shifts * (n - len(val_idx)))
-            errors += np.mean((design @ path - y_val[:, None]) ** 2, axis=0)
-            continue
-        x_mean, offset, gram, rhs = _centered_arrays(x[train], y[train])
-        design = x[val_idx] - x_mean
-        # one Cholesky per lambda, not one _ridge_path, until bench/test_bench.py's
-        # pin of 250 factorizations per linear CV call is restated
-        for g, lam in enumerate(grid_sorted):
-            pred = design @ _tikhonov(gram, rhs, lam, 0) + offset
-            errors[g] += float(np.mean((pred - y_val) ** 2))
-    errors /= len(parts)
-
-    best_lam, best_err = grid_sorted[0], errors[0]
-    for lam, err in zip(grid_sorted[1:], errors[1:]):
-        if err <= best_err:  # tie goes to the larger lambda
-            best_lam, best_err = lam, err
-    return best_lam
+            design, offset = kmat[np.ix_(val_idx, train)], 0.0
+            path = _ridge_path(kmat[np.ix_(train, train)], y[train], grid * (n - len(val_idx)))
+        else:
+            x_mean, offset, gram, rhs = _centered_arrays(x[train], y[train])
+            design = x[val_idx] - x_mean
+            # one Cholesky per lambda, not one _ridge_path, until bench/test_bench.py's
+            # pin of 250 factorizations per linear CV call is restated
+            path = np.column_stack([_tikhonov(gram, rhs, lam, 0) for lam in grid])
+        errors += np.mean((design @ path + offset - y[val_idx, None]) ** 2, axis=0)
+    # np.unique sorted the grid, so [-1] is the largest lambda among the least errors
+    return float(grid[errors == errors.min()][-1])
 
 
 @dataclass(frozen=True)
@@ -274,7 +265,6 @@ class StreamReport:
 
     per_step: tuple[StepMetrics, ...]
     seed: tuple[int, ...]
-    config: dict = field(default_factory=dict)
 
     def series(self, metric: str = "mse") -> dict[str, list[float]]:
         """Pivot per-step entries into one list per algorithm label."""
@@ -385,12 +375,4 @@ def run_block_stream(
             )
         )
 
-    config = {
-        "blocks": len(blocks),
-        "block_rows": [b.n_rows for b in blocks],
-        "algorithms": [{"family": a.family, "order": a.order} for a in algorithms],
-        "cv": {"grid": [float(g) for g in cv.grid], "folds": cv.folds},
-        "classification": classification,
-        "kernel": None if kernel_spec is None else asdict(kernel_spec),
-    }
-    return StreamReport(per_step=tuple(per_step), seed=seed, config=config)
+    return StreamReport(per_step=tuple(per_step), seed=seed)

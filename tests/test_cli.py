@@ -64,6 +64,14 @@ class TestParseCsvDataset:
         with pytest.raises(CsvFormatError, match="row 2"):
             parse_csv_dataset(path)
 
+    def test_non_utf8_rejected(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n\xff\xfe,1\n")
+        with pytest.raises(CsvFormatError, match="not UTF-8"):
+            parse_csv_dataset(path)
+        assert main(["fit", "--input", str(path), "--lambda", "1"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(19)
         ds = Dataset(
@@ -154,6 +162,15 @@ class TestUsageErrors:
                 assert main(command + ["--blocks", blocks, "--out", str(out)]) == 1
                 assert "error: blocks must be >= 1" in capsys.readouterr().err
                 assert not out.exists()
+
+    def test_one_input_block_is_operation_error(self, spam_like, tmp_path, capsys):
+        """With --input one chunk is the test set, so --blocks 1 leaves no training block."""
+        out = tmp_path / "r.json"
+        for command in ("stream", "kernel-stream"):
+            rc = main([command, "--input", spam_like, "--blocks", "1", "--out", str(out)])
+            assert rc == 1
+            assert "error: with --input, blocks must be >= 2" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_module_entry_point(self):
         proc = run_module("--help")

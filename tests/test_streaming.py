@@ -13,6 +13,7 @@ from bcreg import (
     Dataset,
     DegenerateDataError,
     InsufficientDataError,
+    InvalidDataError,
     InvalidParameterError,
     InvalidStateError,
     KernelSpec,
@@ -202,6 +203,54 @@ class TestSelectLambdaCv:
         picked = select_lambda_cv(ds, grid, folds=5, rng=11)
         errors = ridge_cv_oracle(ds, grid, 5, np.random.default_rng(11))
         assert picked == largest_minimizer(grid, errors)
+
+    def test_linear_family_matches_brute_force(self):
+        """The one-body fold loop picks what per-lambda numpy solves pick."""
+        rng = np.random.default_rng(62)
+        grid = list(DEFAULT_LAMBDA_GRID)
+        for case in range(20):
+            n, p = int(rng.integers(30, 121)), int(rng.integers(1, 31))
+            x = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0, size=p)
+            y = x @ rng.normal(size=p) + rng.uniform(0.1, 3.0) * rng.normal(size=n)
+            ds = Dataset(features=x, targets=y)
+            folds, seed = int(rng.choice([5, 10])), int(rng.integers(1000))
+            picked = select_lambda_cv(ds, grid, folds=folds, rng=seed)
+            errors = ridge_cv_oracle(ds, grid, folds, np.random.default_rng(seed))
+            assert picked == largest_minimizer(grid, errors), (case, n, p)
+
+    def test_exact_tie_picks_largest_lambda(self):
+        """Every lambda fits these targets exactly, so the largest one is picked."""
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=(40, 3))
+        grid = [1e-3, 1e-1, 10.0]
+        constant = Dataset(features=x, targets=np.full(40, 2.5))
+        assert select_lambda_cv(constant, grid, folds=5, rng=0) == 10.0
+        zero = Dataset(features=x, targets=np.zeros(40))
+        spec = KernelSpec.gaussian(1.0)
+        picked = select_lambda_cv(zero, grid, folds=5, rng=0, family="kernel", kernel_spec=spec)
+        assert picked == 10.0
+
+    def test_unsorted_repeated_grid_picks_as_sorted_unique(self):
+        rng = np.random.default_rng(64)
+        x = rng.normal(size=(60, 4))
+        y = x @ np.array([1.0, -2.0, 0.0, 0.5]) + 2.0 * rng.normal(size=60)
+        shuffled = list(rng.permutation(DEFAULT_LAMBDA_GRID)) + [DEFAULT_LAMBDA_GRID[3]] * 2
+        spec = KernelSpec.gaussian(1.5)
+        for targets in (y, np.full(60, 2.5)):
+            ds = Dataset(features=x, targets=targets)
+            for kw in ({}, {"family": "kernel", "kernel_spec": spec}):
+                assert select_lambda_cv(ds, shuffled, folds=10, rng=5, **kw) == (
+                    select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=5, **kw)
+                )
+
+    def test_overflowing_moments_are_invalid_data(self):
+        """Data whose squares overflow fail before any solve, without a numpy warning."""
+        rng = np.random.default_rng(65)
+        ds = Dataset(features=rng.normal(size=(40, 2)) * 1e160, targets=rng.normal(size=40))
+        with pytest.raises(InvalidDataError, match="overflow"):
+            select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=5, rng=0)
+        with pytest.raises(InvalidDataError, match="overflow"):
+            fit_regularized(ds, 1.0, 1)
 
     def test_insufficient_rows(self):
         ds = Dataset(features=np.zeros((5, 1)), targets=np.zeros(5))
