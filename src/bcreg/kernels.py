@@ -8,8 +8,12 @@ in coefficient space:
     c# = c + lambda (lambda I + K/n)^-1 c = c + lambda n (lambda n I + K)^-1 c.
 
 Both are the iterated-Tikhonov solve that also fits corrected ridge,
-applied to (K, y) with the shift lambda n, so one Cholesky factor of
-(lambda n I + K) serves the fit and its correction.
+applied to (K, y) with the shift mu = lambda n.  A block's kernel matrix
+is built and decomposed once, K = U diag(s) U', and every fit is the
+spectral filter sum_{j=0..k} mu^j / (mu + s)^(j+1) applied to U' y.
+Cross validation on the block reads the same decomposition: a fold's
+held-out residuals follow in closed form from (K + mu I)^-1, so neither
+the fits nor the folds factor another matrix.
 
 No intercept and no target centering are used; the fit lives entirely
 in the kernel's function space.
@@ -20,16 +24,17 @@ a polynomial degree that is not an integer >= 1, or a non-finite
 polynomial offset raises InvalidParameterError.  ``kernel_matrix``
 raises InvalidDataError when an entry overflows or is NaN, so nothing
 downstream (cross validation, fits, predictions) ever sees one.  A
-kernel that is not positive semi-definite raises DegenerateDataError
-(e.g. a polynomial kernel with a negative offset): in a fit when
-lambda n I + K has no Cholesky factor, and in cross validation when a
-fold's eigenvalues s give s_min + lambda n_train <= 0 for a grid value.
+kernel that is not positive semi-definite (e.g. a polynomial kernel
+with a negative offset) raises DegenerateDataError, in a fit and in
+cross validation alike, at the first shift mu with s_min + mu <= 0,
+where s_min is the smallest eigenvalue of the block's kernel matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -41,7 +46,15 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .linear import Dataset, _as_rows, _check_int, _check_lam, _check_order, _readonly, _tikhonov
+from .linear import (
+    Dataset,
+    _as_rows,
+    _check_int,
+    _check_lam,
+    _check_order,
+    _readonly,
+    _tikhonov_filter,
+)
 
 __all__ = [
     "KernelSpec",
@@ -178,14 +191,56 @@ def median_bandwidth(rows) -> float:
     return med
 
 
+class _KernelBlock:
+    """A dataset's kernel matrix, decomposed on first use as K = U diag(s) U'.
+
+    The block's cross validation and its fits of every order all read
+    this one decomposition, so a block costs one ``kernel_matrix`` and
+    one ``eigh``.
+    """
+
+    def __init__(self, dataset: Dataset, spec: KernelSpec):
+        self.dataset, self.spec = dataset, spec
+
+    @cached_property
+    def eig(self):
+        """(s, U, U' y) of the dataset's kernel matrix."""
+        x = self.dataset.features
+        s, u = np.linalg.eigh(kernel_matrix(self.spec, x, x))
+        return s, u, u.T @ self.dataset.targets
+
+    def fit(self, lam: float, order: int) -> KernelModel:
+        """The order-k fit at lambda: c = U (filter * U' y) at the shift lambda n."""
+        lam, order = _check_lam(lam), _check_order(order, kernel=True)
+        s, u, uy = self.eig
+        filt = _tikhonov_filter(s, np.array([lam * self.dataset.n_rows]), order)[0]
+        coeffs = u @ (filt * uy)
+        return KernelModel(
+            centers=self.dataset.features, coeffs=coeffs, spec=self.spec, lam=lam, order=order
+        )
+
+    def holdout_residuals(self, val_idx: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Residuals y_V - K_VT (K_TT + mu I)^-1 y_T on the rows V, one column per lambda.
+
+        T is every other row and mu = lambda |T|.  With B = (K + mu I)^-1
+        = U diag(1 / (s + mu)) U', the residuals are (B_VV)^-1 (B y)_V
+        (An, Liu & Venkatesh, Pattern Recognition 2007): one batched
+        (grid, v, v) solve, with no training-fold matrix to factor.  The
+        largest temporary is (grid, v, n), so callers loop over folds.
+        """
+        s, u, uy = self.eig
+        inv = _tikhonov_filter(s, grid * (self.dataset.n_rows - len(val_idx)), 0)
+        u_val = u[val_idx]
+        b_vv = (u_val * inv[:, None, :]) @ u_val.T
+        b_y = (inv * uy) @ u_val.T
+        return np.linalg.solve(b_vv, b_y[..., None])[..., 0].T
+
+
 def fit_kernel_regularized(
     dataset: Dataset, spec: KernelSpec, lam: float, order: int = 0
 ) -> KernelModel:
     """Fit the kernel network (order 0) or its corrected variant (order 1)."""
-    lam, order = _check_lam(lam), _check_order(order, kernel=True)
-    x = dataset.features
-    coeffs = _tikhonov(kernel_matrix(spec, x, x), dataset.targets, lam * dataset.n_rows, order)
-    return KernelModel(centers=x, coeffs=coeffs, spec=spec, lam=lam, order=order)
+    return _KernelBlock(dataset, spec).fit(lam, order)
 
 
 def predict_kernel(model: KernelModel, rows) -> np.ndarray:

@@ -203,10 +203,11 @@ def center(dataset: Dataset) -> CenteredStats:
 def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.ndarray:
     """Order-k iterated Tikhonov solution sum_{j=0..k} lam^j (lam I + gram)^-(j+1) rhs.
 
-    Every fit and every linear CV fold is this solve: corrected ridge on
-    (cov, cross) and the kernel network on (K, y) with lam = lambda n.
+    Every linear fit and linear CV fold is this solve, on (cov, cross).
     Factors (lam I + gram) once; every correction step is one extra
-    back-substitution, never an explicit matrix power.
+    back-substitution, never an explicit matrix power.  Kernel fits are
+    the same solve on (K, y) with lam = lambda n, taken from the block's
+    eigendecomposition instead (``_tikhonov_filter``).
     """
     shifted = gram.copy()
     shifted.flat[:: gram.shape[0] + 1] += lam  # the diagonal, without an n x n eye
@@ -224,21 +225,26 @@ def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.n
     return solution
 
 
-def _ridge_path(gram: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Order-0 solutions (mu I + gram)^-1 rhs for every mu in shifts, as columns.
+def _tikhonov_filter(s: np.ndarray, shifts: np.ndarray, order: int) -> np.ndarray:
+    """Spectral filter sum_{j=0..k} mu^j / (mu + s)^(j+1) of ``_tikhonov``, shape (shifts, s).
 
-    One eigendecomposition gram = U diag(s) U' serves the whole path as
-    the spectral filter 1 / (s + mu); a shift with s_min + mu <= 0 is
-    where the Cholesky factor of ``_tikhonov`` would not exist.
+    For gram = U diag(s) U', U diag(filter) U' rhs is _tikhonov(gram, rhs, mu, k),
+    so one eigendecomposition serves every shift and order.  Raises
+    DegenerateDataError, naming the first failing shift, where s_min + mu <= 0,
+    which is where the Cholesky factor of ``_tikhonov`` would not exist.
     """
-    s, u = np.linalg.eigh(gram)
     failing = shifts[s[0] + shifts <= 0]
     if failing.size:
         raise DegenerateDataError(
             f"lambda I + Gram matrix is not positive definite at shift {failing[0]}: "
             "the Gram (kernel) matrix is not positive semi-definite"
         )
-    return u @ ((u.T @ rhs)[:, None] / (s[:, None] + shifts))
+    inv = 1.0 / (s + shifts[:, None])
+    filt = term = inv
+    for _ in range(order):
+        term = term * shifts[:, None] * inv
+        filt = filt + term
+    return filt
 
 
 def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel:

@@ -29,13 +29,7 @@ from .errors import (
     ShapeError,
 )
 from .experiments import Metrics, compute_metrics
-from .kernels import (
-    KernelModel,
-    KernelSpec,
-    fit_kernel_regularized,
-    kernel_matrix,
-    predict_kernel,
-)
+from .kernels import KernelModel, KernelSpec, _KernelBlock, predict_kernel
 from .linear import (
     Dataset,
     LinearModel,
@@ -44,7 +38,6 @@ from .linear import (
     _check_lam,
     _check_order,
     _readonly,
-    _ridge_path,
     _tikhonov,
     fit_regularized,
     predict_linear,
@@ -201,16 +194,24 @@ def select_lambda_cv(
     keeps the linear systems better conditioned at no cost in CV error.
     ``rng`` may be an integer seed or a Generator.
 
-    Every fold runs one body: the family picks the fold's validation
-    design, its offset and the path of order-0 training solutions, one
-    column per grid value, and the fold scores the whole grid as
-    design @ path + offset.  Linear folds take (cov, cross) of their
-    training rows, offset y_mean, and build the path from one Cholesky
-    solve per lambda.  Kernel folds take the raw (K, y) of the n_train
-    training rows and get every lambda n_train from one
-    eigendecomposition of that K.  A kernel that is not positive
+    Every fold scores the whole grid from one matrix of validation
+    residuals, one column per grid value.  Linear folds take (cov, cross)
+    of their training rows and one Cholesky solve per lambda.  Kernel
+    folds factor nothing: the dataset's kernel matrix is decomposed once,
+    and each fold's residuals at lambda n_train follow from that one
+    decomposition in closed form.  A kernel that is not positive
     semi-definite raises DegenerateDataError.
     """
+    if family not in FAMILIES:
+        raise InvalidParameterError(f"unknown family {family!r}")
+    if family == "kernel" and kernel_spec is None:
+        raise InvalidParameterError("kernel family requires a kernel_spec")
+    kernel = _KernelBlock(dataset, kernel_spec) if family == "kernel" else None
+    return _select_lambda(dataset, grid, folds, rng, kernel)
+
+
+def _select_lambda(dataset: Dataset, grid, folds, rng, kernel: _KernelBlock | None) -> float:
+    """``select_lambda_cv`` for the kernel family on ``kernel``, or the linear one if None."""
     grid = np.unique([_check_lam(g) for g in grid])
     if grid.size == 0:
         raise InvalidParameterError("lambda grid must be nonempty")
@@ -219,32 +220,25 @@ def select_lambda_cv(
         raise InsufficientDataError(
             f"need at least {folds} rows for {folds}-fold CV, got {dataset.n_rows}"
         )
-    if family not in FAMILIES:
-        raise InvalidParameterError(f"unknown family {family!r}")
-    if family == "kernel" and kernel_spec is None:
-        raise InvalidParameterError("kernel family requires a kernel_spec")
     if grid.size == 1:
         return float(grid[0])
 
     n = dataset.n_rows
     parts = cv_folds(n, folds, np.random.default_rng(rng))
     x, y = dataset.features, dataset.targets
-    if family == "kernel":
-        kmat = kernel_matrix(kernel_spec, x, x)
     errors = np.zeros(grid.size)
     for val_idx in parts:
-        train = np.ones(n, dtype=bool)
-        train[val_idx] = False
-        if family == "kernel":
-            design, offset = kmat[np.ix_(val_idx, train)], 0.0
-            path = _ridge_path(kmat[np.ix_(train, train)], y[train], grid * (n - len(val_idx)))
+        if kernel is not None:
+            resid = kernel.holdout_residuals(val_idx, grid)
         else:
-            x_mean, offset, gram, rhs = _centered_arrays(x[train], y[train])
-            design = x[val_idx] - x_mean
-            # one Cholesky per lambda, not one _ridge_path, until bench/test_bench.py's
-            # pin of 250 factorizations per linear CV call is restated
+            train = np.ones(n, dtype=bool)
+            train[val_idx] = False
+            x_mean, y_mean, gram, rhs = _centered_arrays(x[train], y[train])
+            # one Cholesky per lambda, not one eigh and _tikhonov_filter, until
+            # bench/test_bench.py's pin of 250 factorizations per linear CV call is restated
             path = np.column_stack([_tikhonov(gram, rhs, lam, 0) for lam in grid])
-        errors += np.mean((design @ path + offset - y[val_idx, None]) ** 2, axis=0)
+            resid = (x[val_idx] - x_mean) @ path + y_mean - y[val_idx, None]
+        errors += np.mean(resid**2, axis=0)
     # np.unique sorted the grid, so [-1] is the largest lambda among the least errors
     return float(grid[errors == errors.min()][-1])
 
@@ -303,6 +297,7 @@ def run_block_stream(
     For each block t: cross validation on that block (order 0 of the
     shared family) picks one lambda, every listed algorithm is fitted on
     the block with it, and each fit is evaluated once on the test set.
+    A kernel block's CV and fits share one kernel matrix and one eigh.
     Each algorithm's predictions are summed over the blocks, and the
     averaged predictor's test-set metrics at step t are those of
     sum / t.  Algorithms must have distinct labels.
@@ -341,14 +336,12 @@ def run_block_stream(
     for t, block in enumerate(blocks, start=1):
         try:
             # entropy tag 1 keeps fold shuffling apart from data streams
-            lam = select_lambda_cv(
-                block,
-                cv.grid,
-                cv.folds,
-                rng=np.random.default_rng((*seed, t, 1)),
-                family=family,
-                kernel_spec=kernel_spec,
-            )
+            rng = np.random.default_rng((*seed, t, 1))
+            if family == "kernel":
+                kernel = _KernelBlock(block, kernel_spec)
+                lam = _select_lambda(block, cv.grid, cv.folds, rng, kernel)
+            else:
+                lam = select_lambda_cv(block, cv.grid, cv.folds, rng=rng)
             mse: dict[str, float] = {}
             cls_err: dict[str, float] = {}
             for algo, label in zip(algorithms, labels):
@@ -356,7 +349,7 @@ def run_block_stream(
                     fit = fit_regularized(block, lam, algo.order)
                     fresh = predict_linear(fit, test.features)
                 else:
-                    fit = fit_kernel_regularized(block, kernel_spec, lam, algo.order)
+                    fit = kernel.fit(lam, algo.order)
                     fresh = predict_kernel(fit, test.features)
                 sums[label] = sums[label] + fresh
                 metrics: Metrics = compute_metrics(sums[label] / t, test.targets, classification)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import bcreg.kernels
 import bcreg.linear
 import bcreg.streaming
 from bcreg import (
@@ -324,13 +325,16 @@ class TestSelectLambdaCv:
             select_lambda_cv(ds, [1e-6, 1.0], folds=5, rng=0, family="kernel", kernel_spec=spec)
 
     def test_factorizations_per_call(self, monkeypatch):
-        """Kernel CV: one eigh per fold.  Linear CV: one Cholesky per fold and lambda."""
+        """Kernel CV: one eigh of the dataset's kernel matrix, none per fold.
+
+        Linear CV: one Cholesky per fold and lambda.
+        """
         rng = np.random.default_rng(8)
         ds = Dataset(features=rng.normal(size=(50, 3)), targets=rng.normal(size=50))
         counts = count_factorizations(monkeypatch)
         select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=0, family="kernel",
                          kernel_spec=KernelSpec.gaussian(1.0))
-        assert counts == {"eigh": 10, "cho_factor": 0}
+        assert counts == {"eigh": 1, "cho_factor": 0}
         counts.update(eigh=0, cho_factor=0)
         select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=0)
         assert counts == {"eigh": 0, "cho_factor": 250}
@@ -486,6 +490,26 @@ class TestKernelRunningSum:
         algos = [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)]
         run_block_stream(blocks, algos, test, cv=self.CV, seed=2, kernel_spec=self.SPEC)
         assert len(calls) == len(blocks) * len(algos)
+
+    def test_one_decomposition_per_block(self, monkeypatch):
+        """A block's CV and its fits of every order share one kernel matrix and one eigh."""
+        counts = count_factorizations(monkeypatch)
+        matrices = []
+        original = bcreg.kernels.kernel_matrix
+
+        def counting(spec, rows_a, rows_b):
+            matrices.append((len(rows_a), len(rows_b)))
+            return original(spec, rows_a, rows_b)
+
+        monkeypatch.setattr(bcreg.kernels, "kernel_matrix", counting)
+        blocks, test = kernel_stream_inputs(21, 5)
+        algos = [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)]
+        run_block_stream(blocks, algos, test, cv=self.CV, seed=3, kernel_spec=self.SPEC)
+        assert counts == {"eigh": len(blocks), "cho_factor": 0}
+        # one per block for CV and the fits, and one per fit's test-set prediction
+        assert matrices.count((25, 25)) == len(blocks)
+        assert matrices.count((40, 25)) == len(blocks) * len(algos)
+        assert len(matrices) == len(blocks) + len(blocks) * len(algos)
 
     def test_duplicate_algorithms_rejected(self):
         blocks, test = kernel_stream_inputs(18, 2)

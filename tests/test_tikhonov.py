@@ -1,11 +1,13 @@
-"""Property tests of the iterated-Tikhonov solve of every fit and its spectral CV path."""
+"""Property tests of the iterated-Tikhonov solve of every fit and its spectral form."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bcreg.linear import _ridge_path, _tikhonov
+from bcreg import Dataset, KernelSpec, cv_folds, kernel_matrix
+from bcreg.kernels import _KernelBlock
+from bcreg.linear import _tikhonov, _tikhonov_filter
 
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -21,6 +23,17 @@ def systems(draw):
 
 
 shift_paths = arrays(float, st.integers(1, 6), elements=st.floats(1e-4, 1e2))
+
+
+def assert_filter_matches_tikhonov(gram, rhs, shifts, order):
+    """U diag(filter_g) U' rhs == _tikhonov(G, rhs, shifts[g], order) for every shift g."""
+    s, u = np.linalg.eigh(gram)
+    filters = _tikhonov_filter(s, shifts, order)
+    assert filters.shape == (shifts.shape[0], gram.shape[0])
+    for filt, shift in zip(filters, shifts):
+        spectral = u @ (filt * (u.T @ rhs))
+        direct = _tikhonov(gram, rhs, shift, order)
+        assert np.linalg.norm(spectral - direct) <= 1e-8 * max(np.linalg.norm(direct), 1e-300)
 
 
 @settings(deadline=None, max_examples=200)
@@ -41,10 +54,50 @@ def test_matches_sum_of_direct_solves(system):
 @settings(deadline=None, max_examples=200)
 @given(systems(), shift_paths)
 def test_ridge_path_matches_order0_solves(system, shifts):
-    """Column g of _ridge_path(G, b, shifts) == _tikhonov(G, b, shifts[g], 0)."""
+    """The order-0 spectral filter at every shift gives _tikhonov(G, b, shift, 0)."""
     gram, rhs, _, _ = system
-    path = _ridge_path(gram, rhs, shifts)
-    assert path.shape == (gram.shape[0], shifts.shape[0])
-    for g, shift in enumerate(shifts):
-        direct = _tikhonov(gram, rhs, shift, 0)
-        assert np.linalg.norm(path[:, g] - direct) <= 1e-8 * max(np.linalg.norm(direct), 1e-300)
+    assert_filter_matches_tikhonov(gram, rhs, shifts, 0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(systems(), shift_paths)
+def test_filter_matches_corrected_solves(system, shifts):
+    """The order-1 spectral filter at every shift gives _tikhonov(G, b, shift, 1)."""
+    gram, rhs, _, _ = system
+    assert_filter_matches_tikhonov(gram, rhs, shifts, 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(arrays(float, st.integers(1, 8), elements=st.floats(0.0, 10.0)), shift_paths)
+def test_filter_increases_with_order(s, shifts):
+    """Each correction adds mu^k / (mu + s)^(k+1) > 0, and the sum stays below 1 / s."""
+    s = np.sort(s)
+    filters = np.array([_tikhonov_filter(s, shifts, order) for order in range(4)])
+    assert filters.shape == (4, shifts.size, s.size)
+    assert np.all(filters > 0)
+    assert np.all(filters[1] > filters[0]) and np.all(np.diff(filters, axis=0) >= 0)
+    with np.errstate(divide="ignore", over="ignore"):
+        assert np.all(filters <= (1.0 + 1e-12) / s)
+
+
+def test_holdout_residuals_match_direct_solves():
+    """(B_VV)^-1 (B y)_V == y_V - K_VT (K_TT + mu I)^-1 y_T for every fold and shift."""
+    rng = np.random.default_rng(7)
+    specs = [KernelSpec.gaussian(0.8), KernelSpec.polynomial(2, 1.0), KernelSpec.polynomial(3)]
+    grid = np.array([1e-3, 0.2])
+    # 23 rows in 4 folds leave 17 or 18 training rows; 20 rows in 5 folds leave 16
+    for n, folds in ((23, 4), (20, 5), (31, 10)):
+        for spec in specs:
+            x = rng.uniform(-1.0, 1.0, size=(n, 2))
+            ds = Dataset(features=x, targets=np.sin(3 * x[:, 0]) + 0.1 * rng.normal(size=n))
+            block = _KernelBlock(ds, spec)
+            kmat = kernel_matrix(spec, x, x)
+            for val in cv_folds(n, folds, rng):
+                train = np.setdiff1d(np.arange(n), val)
+                got = block.holdout_residuals(val, grid)
+                assert got.shape == (len(val), grid.size)
+                for g, lam in enumerate(grid):
+                    shifted = kmat[np.ix_(train, train)] + lam * len(train) * np.eye(len(train))
+                    coeffs = np.linalg.solve(shifted, ds.targets[train])
+                    direct = ds.targets[val] - kmat[np.ix_(val, train)] @ coeffs
+                    assert np.linalg.norm(got[:, g] - direct) <= 1e-8 * np.linalg.norm(direct)
