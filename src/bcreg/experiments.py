@@ -14,11 +14,9 @@ error into squared bias plus variance.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     InsufficientDataError,
@@ -109,22 +107,16 @@ def synth_block(spec: SyntheticSpec, rng=None) -> Dataset:
     return Dataset(features=x, targets=y)
 
 
-@functools.lru_cache(maxsize=None)
-def _nonlinear_signal_variance() -> float:
-    """Var(sin(3x) / (1 + x^2)) for x uniform on [-3, 3], by quadrature."""
-    def f(x):
-        return np.sin(3.0 * x) / (1.0 + x * x)
-
-    mean = quad(f, -3.0, 3.0, limit=200)[0] / 6.0
-    second = quad(lambda x: f(x) ** 2, -3.0, 3.0, limit=200)[0] / 6.0
-    return second - mean**2
+# Var(sin(3x) / (1 + x^2)) for x uniform on [-3, 3], as scipy.integrate.quad gives it; a
+# constant, so importing bcreg skips scipy.integrate (tests/test_experiments.py checks it)
+_NONLINEAR_SIGNAL_VARIANCE = 0.12704949414147615
 
 
 def synth_nonlinear_block(n: int, rng, snr: float = 10.0) -> Dataset:
     """Draw a 1-d nonlinear regression block y = sin(3x)/(1+x^2) + noise.
 
     x is uniform on [-3, 3] and the Gaussian noise variance is set to
-    Var(signal) / snr, with the signal variance obtained by quadrature.
+    Var(signal) / snr, with the signal variance a precomputed quadrature value.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
@@ -132,7 +124,7 @@ def synth_nonlinear_block(n: int, rng, snr: float = 10.0) -> Dataset:
         raise InvalidParameterError(f"snr must be finite and positive, got {snr}")
     gen = np.random.default_rng(rng)
     x = gen.uniform(-3.0, 3.0, size=n)
-    noise_sd = np.sqrt(_nonlinear_signal_variance() / snr)
+    noise_sd = np.sqrt(_NONLINEAR_SIGNAL_VARIANCE / snr)
     y = np.sin(3.0 * x) / (1.0 + x * x) + gen.standard_normal(n) * noise_sd
     return Dataset(features=x[:, np.newaxis], targets=y)
 
@@ -198,14 +190,9 @@ def slice_into_chunks(dataset: Dataset, m: int, rng) -> list[Dataset]:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
     if dataset.n_rows < m:
         raise InsufficientDataError(f"cannot slice {dataset.n_rows} rows into {m} chunks")
-    gen = np.random.default_rng(rng)
-    perm = gen.permutation(dataset.n_rows)
     size = dataset.n_rows // m
-    chunks = []
-    for i in range(m):
-        rows = perm[i * size : (i + 1) * size]
-        chunks.append(Dataset(features=dataset.features[rows], targets=dataset.targets[rows]))
-    return chunks
+    parts = np.random.default_rng(rng).permutation(dataset.n_rows)[: m * size].reshape(m, size)
+    return [Dataset(features=dataset.features[r], targets=dataset.targets[r]) for r in parts]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ kernel that is not positive semi-definite (e.g. a polynomial kernel
 with a negative offset) raises DegenerateDataError, in a fit and in
 cross validation alike, at the first shift mu with s_min + mu <= 0,
 where s_min is the smallest eigenvalue of the block's kernel matrix.
+
+scipy.spatial loads with the first Gaussian kernel matrix or median
+bandwidth, so ``import bcreg`` and commands without one never load it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     DegenerateDataError,
@@ -159,6 +161,7 @@ def kernel_matrix(spec: KernelSpec, rows_a, rows_b) -> np.ndarray:
     # an entry that overflows is caught by the finiteness check, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.kind == "gaussian":
+            from scipy.spatial.distance import cdist, pdist, squareform  # loaded on first use
             sq = squareform(pdist(a, "sqeuclidean")) if same else cdist(a, b, "sqeuclidean")
             gram = np.exp(-sq / (2.0 * spec.bandwidth**2))
         else:
@@ -178,14 +181,19 @@ def median_bandwidth(rows) -> float:
 
     The standard heuristic for picking a Gaussian bandwidth; the median
     over the n(n-1)/2 distinct pairs, with the even-count median taken
-    as the mean of the two middle values.
+    as the mean of the two middle values.  A NaN or inf entry, or a
+    squared distance that overflows, raises InvalidDataError.
     """
+    from scipy.spatial.distance import pdist  # loaded on first use, like kernel_matrix's
     a = np.asarray(rows, dtype=float)
     if a.ndim != 2:
         raise ShapeError("median_bandwidth expects a 2-d row matrix")
     if a.shape[0] < 2:
         raise InsufficientDataError("need at least two rows for pairwise distances")
-    med = float(np.median(pdist(a)))
+    dists = pdist(a)
+    if not np.all(np.isfinite(dists)):
+        raise InvalidDataError("a pairwise distance is not finite (NaN or inf entry, or overflow)")
+    med = float(np.median(dists))
     if med == 0.0:
         raise DegenerateDataError("median pairwise distance is zero")
     return med
@@ -201,6 +209,7 @@ class _KernelBlock:
 
     def __init__(self, dataset: Dataset, spec: KernelSpec):
         self.dataset, self.spec = dataset, spec
+        self._holdout_filters: dict[bytes, np.ndarray] = {}
 
     @cached_property
     def eig(self):
@@ -225,11 +234,15 @@ class _KernelBlock:
         T is every other row and mu = lambda |T|.  With B = (K + mu I)^-1
         = U diag(1 / (s + mu)) U', the residuals are (B_VV)^-1 (B y)_V
         (An, Liu & Venkatesh, Pattern Recognition 2007): one batched
-        (grid, v, v) solve, with no training-fold matrix to factor.  The
-        largest temporary is (grid, v, n), so callers loop over folds.
+        (grid, v, v) solve, with no training-fold matrix to factor.  Folds
+        of equal |T| share one filter 1 / (s + mu).  The largest temporary
+        is (grid, v, n), so callers loop over folds.
         """
         s, u, uy = self.eig
-        inv = _tikhonov_filter(s, grid * (self.dataset.n_rows - len(val_idx)), 0)
+        shifts = grid * (self.dataset.n_rows - len(val_idx))
+        inv = self._holdout_filters.get(shifts.tobytes())
+        if inv is None:
+            inv = self._holdout_filters[shifts.tobytes()] = _tikhonov_filter(s, shifts, 0)
         u_val = u[val_idx]
         b_vv = (u_val * inv[:, None, :]) @ u_val.T
         b_y = (inv * uy) @ u_val.T

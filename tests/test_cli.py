@@ -24,14 +24,19 @@ def write(path, text):
     return str(path)
 
 
-def run_module(*args):
-    """Run ``python -m bcreg`` in a fresh interpreter, with its default warning filters."""
+def run_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports bcreg from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "bcreg", *args], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
+
+
+def run_module(*args):
+    """Run ``python -m bcreg`` in a fresh interpreter, with its default warning filters."""
+    return run_python("-m", "bcreg", *args)
 
 
 class TestParseCsvDataset:
@@ -131,6 +136,13 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "not positive semi-definite" in err
 
+    def test_overflowing_median_bandwidth_is_operation_error(self, tmp_path, capsys):
+        path = write(tmp_path / "d.csv", "x,y\n1e200,1\n-1e200,0\n0,1\n")
+        rc = main(["fit", "--input", path, "--lambda", "0.1", "--family", "kernel"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "pairwise distance is not finite" in err
+
 
 class TestUsageErrors:
     def test_unknown_model_exits_with_usage(self, capsys):
@@ -176,6 +188,18 @@ class TestUsageErrors:
         proc = run_module("--help")
         assert proc.returncode == 0, proc.stderr
         assert "kernel-stream" in proc.stdout
+
+    def test_startup_loads_no_heavy_scipy_subpackage(self):
+        """``import bcreg`` and ``--help`` load numpy and scipy.linalg, not the rest of scipy."""
+        heavy = ("scipy.integrate", "scipy.spatial", "scipy.optimize", "scipy.special",
+                 "scipy.sparse")
+        for args in (["-c", "import bcreg, bcreg.cli"], ["-m", "bcreg", "--help"]):
+            proc = run_python("-X", "importtime", *args)
+            assert proc.returncode == 0, proc.stderr
+            # each -X importtime line ends with "| <module name>"
+            loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+            assert "scipy.linalg" in loaded, args
+            assert not {m for m in loaded if m.startswith(heavy)}, args
 
 
 class TestBiasVarianceCommand:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bcreg import (
     Dataset,
@@ -20,6 +21,7 @@ from bcreg import (
     synth_nonlinear_block,
     true_weights,
 )
+from bcreg.experiments import _NONLINEAR_SIGNAL_VARIANCE
 
 
 class TestSyntheticSpec:
@@ -102,6 +104,20 @@ class TestSynthNonlinearBlock:
         signal_var = truth.var()
         resid_var = (ds.targets - truth).var()
         assert signal_var / resid_var == pytest.approx(10.0, rel=0.05)
+
+    def test_signal_variance_constant_is_the_quadrature_value(self):
+        """The stored Var(sin(3x)/(1+x^2)), x ~ U[-3, 3], against two independent integrals."""
+        def f(x):
+            return np.sin(3.0 * x) / (1.0 + x * x)
+
+        stored = _NONLINEAR_SIGNAL_VARIANCE
+        mean = quad(f, -3.0, 3.0, limit=200)[0] / 6.0
+        second = quad(lambda x: f(x) ** 2, -3.0, 3.0, limit=200)[0] / 6.0
+        assert abs(second - mean**2 - stored) <= 1e-13 * stored
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        values = f(3.0 * nodes)
+        gauss = weights @ values**2 / 2.0 - (weights @ values / 2.0) ** 2
+        assert abs(gauss - stored) <= 1e-13 * stored
 
 
 class TestMonteCarloBiasVariance:

@@ -147,6 +147,15 @@ class TestMedianBandwidth:
         with pytest.raises(InsufficientDataError):
             median_bandwidth(np.ones((1, 2)))
 
+    @pytest.mark.parametrize("rows", [
+        [[np.nan], [0.0], [1.0]],
+        [[np.inf], [0.0], [1.0]],
+        [[1e200], [-1e200], [0.0]],  # finite rows, overflowing squared distances
+    ])
+    def test_non_finite_distance_is_invalid_data(self, rows):
+        with pytest.raises(InvalidDataError, match="not finite"):
+            median_bandwidth(np.array(rows))
+
 
 class TestFitKernelRegularized:
     def test_one_point_order_0(self):

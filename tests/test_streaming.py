@@ -339,6 +339,26 @@ class TestSelectLambdaCv:
         select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=0)
         assert counts == {"eigh": 0, "cho_factor": 250}
 
+    def test_one_filter_per_training_size(self, monkeypatch):
+        """Kernel CV evaluates the filter 1 / (s + mu) once per distinct |T|, not per fold."""
+        calls = []
+        original = bcreg.kernels._tikhonov_filter
+
+        def counting(s, shifts, order):
+            calls.append(shifts.copy())
+            return original(s, shifts, order)
+
+        monkeypatch.setattr(bcreg.kernels, "_tikhonov_filter", counting)
+        rng = np.random.default_rng(8)
+        grid = np.array(DEFAULT_LAMBDA_GRID)
+        for n, folds in ((50, 10), (23, 4), (31, 10)):
+            ds = Dataset(features=rng.normal(size=(n, 2)), targets=rng.normal(size=n))
+            calls.clear()
+            select_lambda_cv(ds, grid, folds=folds, rng=0, family="kernel",
+                             kernel_spec=KernelSpec.gaussian(1.0))
+            sizes = sorted({n - len(v) for v in cv_folds(n, folds, np.random.default_rng(0))})
+            assert sorted(round(c[0] / grid[0]) for c in calls) == sizes, (n, folds)
+
     def test_kernel_family_requires_spec(self):
         ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
         with pytest.raises(InvalidParameterError):
