@@ -478,9 +478,14 @@ def _write_output(payload, rows, out, fmt) -> None:
             fh.write(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, rows = COMMANDS[args.command](args)
         _write_output(payload, rows, args.out, args.format)

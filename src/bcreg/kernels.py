@@ -29,8 +29,11 @@ with a negative offset) raises DegenerateDataError, in a fit and in
 cross validation alike, at the first shift mu with s_min + mu <= 0,
 where s_min is the smallest eigenvalue of the block's kernel matrix.
 
-scipy.spatial loads with the first Gaussian kernel matrix or median
-bandwidth, so ``import bcreg`` and commands without one never load it.
+Distances take numpy alone (``_sq_distances``), so the kernel path
+never imports scipy.  Exact per-feature sums cost time on wide inputs:
+at 57 features they are about five times slower than scipy.spatial's
+cdist.  The fast Gram form |a|^2 + |b|^2 - 2 a.b is not exact: it can
+put identical rows a nonzero distance apart.
 """
 
 from __future__ import annotations
@@ -143,27 +146,46 @@ def kernel_eval(spec: KernelSpec, a, b) -> float:
     return float(kernel_matrix(spec, av[None], bv[None])[0, 0])
 
 
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and of b, shape (mA, mB).
+
+    Sums the exact squared difference of each feature in turn, so rows
+    that are equal are exactly zero apart, and ``_sq_distances(a, a)``
+    is exactly symmetric with an exactly zero diagonal.  The sum starts
+    from the first feature's squares, so one-feature rows cost a single
+    (mA, mB) array.  Each extra temporary of a few hundred KB is pages
+    that glibc may unmap and fault in again on the next call.
+    """
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    for a_j, b_j in zip(a.T[1:], b.T[1:]):
+        diff = np.subtract.outer(a_j, b_j)
+        diff *= diff
+        sq += diff
+    return sq
+
+
 def kernel_matrix(spec: KernelSpec, rows_a, rows_b) -> np.ndarray:
     """Kernel values for every pair of rows, shape (mA, mB).
 
-    When both arguments are the same array object, each unordered pair
-    is evaluated once, so the result is exactly symmetric and the
-    Gaussian diagonal is exactly one.  Raises InvalidDataError if any
-    entry is not finite.
+    When both arguments are the same array object, the result is
+    exactly symmetric and the Gaussian diagonal is exactly one.  Raises
+    InvalidDataError if any entry is not finite.
     """
     a = np.asarray(rows_a, dtype=float)
     b = np.asarray(rows_b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("kernel_matrix expects 2-d row matrices")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] < 1:
+        raise ShapeError("kernel_matrix expects 2-d row matrices with at least one column")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
     same = rows_a is rows_b
     # an entry that overflows is caught by the finiteness check, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.kind == "gaussian":
-            from scipy.spatial.distance import cdist, pdist, squareform  # loaded on first use
-            sq = squareform(pdist(a, "sqeuclidean")) if same else cdist(a, b, "sqeuclidean")
-            gram = np.exp(-sq / (2.0 * spec.bandwidth**2))
+            # one (mA, mB) array: the distances become exp(-sq / (2 h^2)) in place, bitwise
+            gram = _sq_distances(a, b)
+            gram /= -(2.0 * spec.bandwidth**2)
+            np.exp(gram, out=gram)
         else:
             gram = a @ b.T
             if spec.kind == "polynomial":
@@ -184,13 +206,14 @@ def median_bandwidth(rows) -> float:
     as the mean of the two middle values.  A NaN or inf entry, or a
     squared distance that overflows, raises InvalidDataError.
     """
-    from scipy.spatial.distance import pdist  # loaded on first use, like kernel_matrix's
     a = np.asarray(rows, dtype=float)
-    if a.ndim != 2:
-        raise ShapeError("median_bandwidth expects a 2-d row matrix")
-    if a.shape[0] < 2:
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise ShapeError("median_bandwidth expects a 2-d row matrix with at least one column")
+    n = a.shape[0]
+    if n < 2:
         raise InsufficientDataError("need at least two rows for pairwise distances")
-    dists = pdist(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = np.sqrt(_sq_distances(a, a)[np.triu(np.ones((n, n), dtype=bool), 1)])
     if not np.all(np.isfinite(dists)):
         raise InvalidDataError("a pairwise distance is not finite (NaN or inf entry, or overflow)")
     med = float(np.median(dists))
@@ -227,6 +250,14 @@ class _KernelBlock:
         return KernelModel(
             centers=self.dataset.features, coeffs=coeffs, spec=self.spec, lam=lam, order=order
         )
+
+    def cross(self, rows: np.ndarray) -> np.ndarray:
+        """Kernel values between ``rows`` and the block's rows, shape (m, n).
+
+        ``cross(rows) @ fit.coeffs`` equals ``predict_kernel(fit, rows)``
+        bitwise for every fit of this block, whatever its order.
+        """
+        return kernel_matrix(self.spec, rows, self.dataset.features)
 
     def holdout_residuals(self, val_idx: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """Residuals y_V - K_VT (K_TT + mu I)^-1 y_T on the rows V, one column per lambda.

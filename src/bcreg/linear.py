@@ -16,6 +16,10 @@ In each eigen-direction the order-k estimator applies the filter factor
 its asymptotic bias shrinks geometrically with k.  This module provides
 the centering statistics, the fit itself, and the closed-form
 asymptotic-bias oracle used to sanity-check Monte-Carlo estimates.
+
+scipy.linalg loads at the first ``_tikhonov`` call, the Cholesky solve
+of linear fits and linear CV folds; ``import bcreg``, kernel fits and
+kernel streams never load it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     DegenerateDataError,
@@ -209,18 +212,20 @@ def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.n
     the same solve on (K, y) with lam = lambda n, taken from the block's
     eigendecomposition instead (``_tikhonov_filter``).
     """
+    import scipy.linalg  # loaded at the first call; calls below look up each name afresh
+
     shifted = gram.copy()
     shifted.flat[:: gram.shape[0] + 1] += lam  # the diagonal, without an n x n eye
     try:
-        factor = cho_factor(shifted, lower=True, check_finite=False)
-    except LinAlgError:
+        factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
         raise DegenerateDataError(
             f"lambda I + Gram matrix has no Cholesky factor at shift {lam}: "
             "the Gram (kernel) matrix is not positive semi-definite"
         ) from None
-    solution = term = cho_solve(factor, rhs, check_finite=False)
+    solution = term = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     for _ in range(order):
-        term = lam * cho_solve(factor, term, check_finite=False)
+        term = lam * scipy.linalg.cho_solve(factor, term, check_finite=False)
         solution = solution + term
     return solution
 

@@ -297,7 +297,8 @@ def run_block_stream(
     For each block t: cross validation on that block (order 0 of the
     shared family) picks one lambda, every listed algorithm is fitted on
     the block with it, and each fit is evaluated once on the test set.
-    A kernel block's CV and fits share one kernel matrix and one eigh.
+    A kernel block's CV and fits share one kernel matrix and one eigh,
+    and its fits of every order share one test-set kernel matrix.
     Each algorithm's predictions are summed over the blocks, and the
     averaged predictor's test-set metrics at step t are those of
     sum / t.  Algorithms must have distinct labels.
@@ -340,6 +341,7 @@ def run_block_stream(
             if family == "kernel":
                 kernel = _KernelBlock(block, kernel_spec)
                 lam = _select_lambda(block, cv.grid, cv.folds, rng, kernel)
+                test_kernel = kernel.cross(test.features)
             else:
                 lam = select_lambda_cv(block, cv.grid, cv.folds, rng=rng)
             mse: dict[str, float] = {}
@@ -349,8 +351,7 @@ def run_block_stream(
                     fit = fit_regularized(block, lam, algo.order)
                     fresh = predict_linear(fit, test.features)
                 else:
-                    fit = kernel.fit(lam, algo.order)
-                    fresh = predict_kernel(fit, test.features)
+                    fresh = test_kernel @ kernel.fit(lam, algo.order).coeffs
                 sums[label] = sums[label] + fresh
                 metrics: Metrics = compute_metrics(sums[label] / t, test.targets, classification)
                 mse[label] = metrics.mse

@@ -16,7 +16,7 @@ from bcreg import (
     InsufficientDataError,
     fit_regularized,
 )
-from bcreg.cli import main, parse_csv_dataset, write_csv_dataset
+from bcreg.cli import _parser, main, parse_csv_dataset, write_csv_dataset
 
 
 def write(path, text):
@@ -189,17 +189,67 @@ class TestUsageErrors:
         assert proc.returncode == 0, proc.stderr
         assert "kernel-stream" in proc.stdout
 
-    def test_startup_loads_no_heavy_scipy_subpackage(self):
-        """``import bcreg`` and ``--help`` load numpy and scipy.linalg, not the rest of scipy."""
+    def test_startup_loads_no_heavy_scipy_subpackage(self, tmp_path):
+        """Startup and the kernel commands load no scipy; a linear stream loads scipy.linalg only.
+
+        ``import bcreg``, ``--help``, a synthetic ``kernel-stream`` and a
+        median-bandwidth kernel ``fit`` run on numpy alone; ``scipy.linalg``
+        loads at the first Cholesky solve of a linear fit.
+        """
         heavy = ("scipy.integrate", "scipy.spatial", "scipy.optimize", "scipy.special",
                  "scipy.sparse")
-        for args in (["-c", "import bcreg, bcreg.cli"], ["-m", "bcreg", "--help"]):
+        data = write(tmp_path / "d.csv", "x1,x2,y\n0,1,1\n1,0.5,0\n2,3,1\n3,1,0\n")
+        out = str(tmp_path / "out.json")
+        tiny = ["--blocks", "2", "--block-size", "20", "--test-size", "20", "--out", out]
+        numpy_only = [
+            ["-c", "import bcreg, bcreg.cli"],
+            ["-m", "bcreg", "--help"],
+            ["-m", "bcreg", "kernel-stream", *tiny],
+            ["-m", "bcreg", "fit", "--family", "kernel", "--bandwidth", "median",
+             "--input", data, "--lambda", "0.1", "--out", out],
+        ]
+        linear = [["-m", "bcreg", "stream", "--model", "1", *tiny]]
+        for args in numpy_only + linear:
             proc = run_python("-X", "importtime", *args)
             assert proc.returncode == 0, proc.stderr
             # each -X importtime line ends with "| <module name>"
             loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-            assert "scipy.linalg" in loaded, args
-            assert not {m for m in loaded if m.startswith(heavy)}, args
+            scipy_modules = {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+            if args in numpy_only:
+                assert not scipy_modules, args
+            else:
+                assert "scipy.linalg" in scipy_modules, args
+                assert not {m for m in scipy_modules if m.startswith(heavy)}, args
+
+    def test_parser_is_built_once_and_results_do_not_drift(self, tmp_path, capsys):
+        """Alternating commands through one cached parser gives each call's first output."""
+        data = write(tmp_path / "d.csv", "x1,x2,y\n0,1,1\n1,0.5,0\n2,3,1\n3,1,0\n4,2,1\n")
+        tiny = ["--blocks", "3", "--block-size", "20", "--test-size", "20"]
+        calls = [
+            ["kernel-stream", *tiny, "--orders", "1", "--bandwidth", "0.7", "--seed", "2"],
+            ["stream", "--model", "1", *tiny],
+            ["kernel-stream", *tiny],
+            ["fit", "--input", data, "--lambda", "0.1", "--family", "kernel"],
+            ["bias-variance", "--model", "2", "--lambda", "0.1", "--reps", "5", "--n", "20"],
+            ["stream", "--model", "2", *tiny, "--orders", "0,2", "--format", "csv"],
+            ["fit", "--input", data, "--lambda", "0.1"],
+        ]
+
+        def outputs():
+            results = []
+            for argv in calls:
+                assert main(argv) == 0, argv
+                results.append(capsys.readouterr().out)
+            return results
+
+        first = outputs()
+        with pytest.raises(SystemExit):
+            main(["stream", "--model", "9"])
+        capsys.readouterr()
+        assert outputs() == first
+        calls.reverse()
+        assert outputs() == first[::-1]
+        assert _parser() is _parser()
 
 
 class TestBiasVarianceCommand:

@@ -1,5 +1,7 @@
 """Kernel network tests: evaluation rules, fits, and coefficient identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from bcreg import (
     predict_kernel,
     predict_linear,
 )
+from bcreg.kernels import _sq_distances
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -126,6 +129,47 @@ class TestKernelMatrix:
             assert evals.min() >= -1e-8 * evals.max()
 
 
+class TestSqDistances:
+    def test_matches_cdist_bitwise_at_one_feature(self):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(31)
+        a, b = rng.uniform(-3, 3, (60, 1)), rng.uniform(-3, 3, (45, 1))
+        np.testing.assert_array_equal(_sq_distances(a, b), cdist(a, b, "sqeuclidean"))
+        np.testing.assert_array_equal(_sq_distances(a, a), cdist(a, a, "sqeuclidean"))
+
+    def test_matches_cdist_at_57_features(self):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(32)
+        a, b = rng.normal(size=(40, 57)), rng.exponential(size=(30, 57))
+        for rows_b in (a, b):
+            np.testing.assert_allclose(
+                _sq_distances(a, rows_b), cdist(a, rows_b, "sqeuclidean"), rtol=1e-13, atol=0
+            )
+
+    @pytest.mark.parametrize("p", [1, 3, 57])
+    def test_self_distances_symmetric_with_zero_diagonal(self, p):
+        rows = np.random.default_rng(33).normal(size=(25, p)) * 0.1
+        sq = _sq_distances(rows, rows)
+        assert np.array_equal(sq, sq.T)
+        assert np.array_equal(np.diag(sq), np.zeros(25))
+
+    def test_no_column_is_shape_error(self):
+        for call in (lambda: kernel_matrix(GAUSS, np.zeros((3, 0)), np.zeros((2, 0))),
+                     lambda: median_bandwidth(np.zeros((3, 0)))):
+            with pytest.raises(ShapeError, match="at least one column"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_is_invalid_data_without_warning(self, bad):
+        rows = np.array([[bad, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError):
+                kernel_matrix(GAUSS, rows, rows)
+
+
 class TestMedianBandwidth:
     def test_two_rows(self):
         rows = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -143,6 +187,26 @@ class TestMedianBandwidth:
         with pytest.raises(DegenerateDataError):
             median_bandwidth(np.ones((4, 2)))
 
+    def test_identical_non_integer_rows_degenerate(self):
+        """Equal rows are exactly zero apart, at any width and scale."""
+        rng = np.random.default_rng(34)
+        cases = [np.full((5, 3), 0.1), np.tile(rng.normal(size=57), (6, 1))]
+        for _ in range(100):
+            row = rng.normal(size=int(rng.integers(1, 58))) * 10 ** rng.uniform(-3, 3)
+            cases.append(np.tile(row, (int(rng.integers(2, 12)), 1)))
+        for rows in cases:
+            with pytest.raises(DegenerateDataError):
+                median_bandwidth(rows)
+
+    def test_matches_pdist_median(self):
+        from scipy.spatial.distance import pdist
+
+        rng = np.random.default_rng(35)
+        one = rng.uniform(-3, 3, (51, 1))
+        assert median_bandwidth(one) == float(np.median(pdist(one)))
+        wide = rng.normal(size=(30, 57))
+        assert median_bandwidth(wide) == pytest.approx(float(np.median(pdist(wide))), rel=1e-13)
+
     def test_single_row_insufficient(self):
         with pytest.raises(InsufficientDataError):
             median_bandwidth(np.ones((1, 2)))
@@ -153,8 +217,10 @@ class TestMedianBandwidth:
         [[1e200], [-1e200], [0.0]],  # finite rows, overflowing squared distances
     ])
     def test_non_finite_distance_is_invalid_data(self, rows):
-        with pytest.raises(InvalidDataError, match="not finite"):
-            median_bandwidth(np.array(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match="not finite"):
+                median_bandwidth(np.array(rows))
 
 
 class TestFitKernelRegularized:

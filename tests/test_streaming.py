@@ -175,8 +175,7 @@ def count_factorizations(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(np.linalg, "eigh")
-    counting(scipy.linalg, "cho_factor")
-    counting(bcreg.linear, "cho_factor")  # linear.py's own reference to scipy's
+    counting(scipy.linalg, "cho_factor")  # linear._tikhonov looks it up on every call
     return counts
 
 
@@ -498,21 +497,29 @@ class TestKernelRunningSum:
                 np.testing.assert_array_equal(step.mse[label], expected.mse)
 
     def test_each_fit_is_evaluated_once(self, monkeypatch):
-        calls = []
-        original = bcreg.streaming.predict_kernel
+        """Every order's fit on a block is evaluated through that block's one test-set matrix."""
+        matrices, products = [], []
+        original = bcreg.kernels.kernel_matrix
 
-        def counting(model, rows):
-            calls.append(model)
-            return original(model, rows)
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
 
-        monkeypatch.setattr(bcreg.streaming, "predict_kernel", counting)
+        def counting(spec, rows_a, rows_b):
+            matrices.append((len(rows_a), len(rows_b)))
+            matrix = original(spec, rows_a, rows_b)
+            return matrix if rows_a is rows_b else matrix.view(Counting)
+
+        monkeypatch.setattr(bcreg.kernels, "kernel_matrix", counting)
         blocks, test = kernel_stream_inputs(17, 7)
         algos = [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)]
         run_block_stream(blocks, algos, test, cv=self.CV, seed=2, kernel_spec=self.SPEC)
-        assert len(calls) == len(blocks) * len(algos)
+        assert matrices.count((40, 25)) == len(blocks)
+        assert products == [(25,)] * (len(blocks) * len(algos))
 
     def test_one_decomposition_per_block(self, monkeypatch):
-        """A block's CV and its fits of every order share one kernel matrix and one eigh."""
+        """A block's CV and fits share one kernel matrix and one eigh; its predictions, one more."""
         counts = count_factorizations(monkeypatch)
         matrices = []
         original = bcreg.kernels.kernel_matrix
@@ -526,10 +533,10 @@ class TestKernelRunningSum:
         algos = [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)]
         run_block_stream(blocks, algos, test, cv=self.CV, seed=3, kernel_spec=self.SPEC)
         assert counts == {"eigh": len(blocks), "cho_factor": 0}
-        # one per block for CV and the fits, and one per fit's test-set prediction
+        # one per block for CV and the fits, and one per block for every fit's predictions
         assert matrices.count((25, 25)) == len(blocks)
-        assert matrices.count((40, 25)) == len(blocks) * len(algos)
-        assert len(matrices) == len(blocks) + len(blocks) * len(algos)
+        assert matrices.count((40, 25)) == len(blocks)
+        assert len(matrices) == 2 * len(blocks)
 
     def test_duplicate_algorithms_rejected(self):
         blocks, test = kernel_stream_inputs(18, 2)
