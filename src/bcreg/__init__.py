@@ -5,122 +5,15 @@ correction, a running-average learner for block-wise data streams, and
 a seeded Monte-Carlo harness for bias/variance studies.
 """
 
-from .errors import (
-    BcregError,
-    CsvFormatError,
-    CsvParseError,
-    DegenerateDataError,
-    InsufficientDataError,
-    InvalidDataError,
-    InvalidParameterError,
-    InvalidStateError,
-    SequencingError,
-    ShapeError,
-)
-from .experiments import (
-    BiasVarianceReport,
-    Metrics,
-    SyntheticSpec,
-    compute_metrics,
-    feature_variances,
-    monte_carlo_bias_variance,
-    noise_variance,
-    signal_variance,
-    slice_into_chunks,
-    spectrum_profile,
-    synth_block,
-    synth_nonlinear_block,
-    true_weights,
-)
-from .kernels import (
-    KernelModel,
-    KernelSpec,
-    fit_kernel_regularized,
-    kernel_eval,
-    kernel_matrix,
-    median_bandwidth,
-    predict_kernel,
-)
-from .linear import (
-    CenteredStats,
-    Dataset,
-    LinearModel,
-    SpectrumProfile,
-    asymptotic_bias,
-    center,
-    filter_factor,
-    fit_regularized,
-    predict_linear,
-)
-from .streaming import (
-    DEFAULT_LAMBDA_GRID,
-    AlgorithmSpec,
-    AveragedKernelModel,
-    AveragedLinearModel,
-    CvConfig,
-    StepMetrics,
-    StreamReport,
-    algorithm_label,
-    average_update,
-    cv_folds,
-    predict_averaged,
-    run_block_stream,
-    select_lambda_cv,
-)
+from .errors import *
+from .experiments import *
+from .kernels import *
+from .linear import *
+from .streaming import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BcregError",
-    "CsvFormatError",
-    "CsvParseError",
-    "DegenerateDataError",
-    "InsufficientDataError",
-    "InvalidDataError",
-    "InvalidParameterError",
-    "InvalidStateError",
-    "SequencingError",
-    "ShapeError",
-    "BiasVarianceReport",
-    "Metrics",
-    "SyntheticSpec",
-    "compute_metrics",
-    "feature_variances",
-    "monte_carlo_bias_variance",
-    "noise_variance",
-    "signal_variance",
-    "slice_into_chunks",
-    "spectrum_profile",
-    "synth_block",
-    "synth_nonlinear_block",
-    "true_weights",
-    "KernelModel",
-    "KernelSpec",
-    "fit_kernel_regularized",
-    "kernel_eval",
-    "kernel_matrix",
-    "median_bandwidth",
-    "predict_kernel",
-    "CenteredStats",
-    "Dataset",
-    "LinearModel",
-    "SpectrumProfile",
-    "asymptotic_bias",
-    "center",
-    "filter_factor",
-    "fit_regularized",
-    "predict_linear",
-    "DEFAULT_LAMBDA_GRID",
-    "AlgorithmSpec",
-    "AveragedKernelModel",
-    "AveragedLinearModel",
-    "CvConfig",
-    "StepMetrics",
-    "StreamReport",
-    "algorithm_label",
-    "average_update",
-    "cv_folds",
-    "predict_averaged",
-    "run_block_stream",
-    "select_lambda_cv",
-]
+# each public name is declared once, in its module's __all__
+__all__ = (
+    errors.__all__ + experiments.__all__ + kernels.__all__ + linear.__all__ + streaming.__all__
+)

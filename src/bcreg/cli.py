@@ -32,6 +32,7 @@ from .errors import (
     CsvFormatError,
     CsvParseError,
     InsufficientDataError,
+    InvalidParameterError,
 )
 from .experiments import (
     SyntheticSpec,
@@ -350,11 +351,11 @@ def _rep_mean(series) -> list[float]:
 
 def _run_stream_command(args, family: str):
     if args.reps < 1:
-        raise BcregError(f"reps must be >= 1, got {args.reps}")
+        raise InvalidParameterError(f"reps must be >= 1, got {args.reps}")
     if args.blocks < 1:
-        raise BcregError(f"blocks must be >= 1, got {args.blocks}")
+        raise InvalidParameterError(f"blocks must be >= 1, got {args.blocks}")
     if args.input and args.blocks < 2:
-        raise BcregError(
+        raise InvalidParameterError(
             f"with --input, blocks must be >= 2 (one chunk is the test set), got {args.blocks}"
         )
     grid = tuple(args.grid) if args.grid is not None else DEFAULT_LAMBDA_GRID

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BcregError",
+    "InvalidDataError",
+    "InvalidParameterError",
+    "InsufficientDataError",
+    "ShapeError",
+    "DegenerateDataError",
+    "InvalidStateError",
+    "SequencingError",
+    "CsvFormatError",
+    "CsvParseError",
+]
+
 
 class BcregError(Exception):
     """Base class for all errors raised by this package."""

@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .linear import Dataset, SpectrumProfile, fit_regularized
+from .linear import Dataset, SpectrumProfile, _check_int, fit_regularized
 
 __all__ = [
     "SyntheticSpec",
@@ -35,6 +35,10 @@ __all__ = [
     "slice_into_chunks",
     "compute_metrics",
     "spectrum_profile",
+    "true_weights",
+    "feature_variances",
+    "signal_variance",
+    "noise_variance",
 ]
 
 N_FEATURES = 20
@@ -53,12 +57,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.model_id not in MODEL_IDS:
             raise InvalidParameterError(f"unknown model_id {self.model_id!r}")
-        if self.n < 1:
-            raise InvalidParameterError(f"n must be >= 1, got {self.n}")
+        _check_int(self.n, "n", 1)
         if not (np.isfinite(self.snr) and self.snr > 0):
             raise InvalidParameterError(f"snr must be finite and positive, got {self.snr}")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be a nonnegative integer")
+        _check_int(self.seed, "seed", 0)
 
 
 def true_weights(model_id: str) -> np.ndarray:
@@ -118,8 +120,7 @@ def synth_nonlinear_block(n: int, rng, snr: float = 10.0) -> Dataset:
     x is uniform on [-3, 3] and the Gaussian noise variance is set to
     Var(signal) / snr, with the signal variance a precomputed quadrature value.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    n = _check_int(n, "n", 1)
     if not (np.isfinite(snr) and snr > 0):
         raise InvalidParameterError(f"snr must be finite and positive, got {snr}")
     gen = np.random.default_rng(rng)
@@ -157,8 +158,7 @@ def monte_carlo_bias_variance(
     entropy (spec.seed, rep) and refits; intercepts are excluded from
     all three statistics.
     """
-    if reps < 2:
-        raise InvalidParameterError(f"reps must be >= 2, got {reps}")
+    reps = _check_int(reps, "reps", 2)
     w_true = true_weights(spec.model_id)
     fits = np.empty((reps, N_FEATURES))
     for r in range(reps):
@@ -186,8 +186,7 @@ def slice_into_chunks(dataset: Dataset, m: int, rng) -> list[Dataset]:
     Chunk size is floor(n / m); the n mod m leftover rows are dropped so
     all chunks have identical size.
     """
-    if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
+    m = _check_int(m, "m", 1)
     if dataset.n_rows < m:
         raise InsufficientDataError(f"cannot slice {dataset.n_rows} rows into {m} chunks")
     size = dataset.n_rows // m

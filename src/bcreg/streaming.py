@@ -18,6 +18,7 @@ block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,12 +34,11 @@ from .kernels import KernelModel, KernelSpec, _KernelBlock, predict_kernel
 from .linear import (
     Dataset,
     LinearModel,
-    _centered_arrays,
     _check_int,
     _check_lam,
     _check_order,
+    _holdout_residuals,
     _readonly,
-    _tikhonov,
     fit_regularized,
     predict_linear,
 )
@@ -107,8 +107,7 @@ def average_update(current, fresh, t: int):
     ``current.count + 1`` (with ``current`` absent exactly when t == 1).
     Returns a new averaged model; inputs are never mutated.
     """
-    if t < 1:
-        raise InvalidParameterError(f"t must be >= 1, got {t}")
+    t = _check_int(t, "t", 1)
     if t == 1:
         if current is not None:
             raise SequencingError("t == 1 requires an empty current average")
@@ -175,7 +174,7 @@ class CvConfig:
 
 def cv_folds(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Seeded random partition of range(n) into near-equal index sets."""
-    perm = rng.permutation(n)
+    perm = rng.permutation(_check_int(n, "n", 1))
     return [np.sort(part) for part in np.array_split(perm, _check_int(folds, "folds", 2))]
 
 
@@ -194,51 +193,44 @@ def select_lambda_cv(
     keeps the linear systems better conditioned at no cost in CV error.
     ``rng`` may be an integer seed or a Generator.
 
-    Every fold scores the whole grid from one matrix of validation
-    residuals, one column per grid value.  Linear folds take (cov, cross)
-    of their training rows and one Cholesky solve per lambda.  Kernel
-    folds factor nothing: the dataset's kernel matrix is decomposed once,
-    and each fold's residuals at lambda n_train follow from that one
-    decomposition in closed form.  A kernel that is not positive
-    semi-definite raises DegenerateDataError.
+    Each family scores a held-out fold in its own module.  Linear folds
+    (``linear._holdout_residuals``) take (cov, cross) of their training
+    rows and one Cholesky solve per lambda.  Kernel folds
+    (``kernels._KernelBlock.holdout_residuals``) factor nothing: the
+    dataset's kernel matrix is decomposed once, and each fold's residuals
+    at lambda n_train follow from that one decomposition in closed form.
+    A kernel that is not positive semi-definite raises DegenerateDataError.
     """
     if family not in FAMILIES:
         raise InvalidParameterError(f"unknown family {family!r}")
-    if family == "kernel" and kernel_spec is None:
-        raise InvalidParameterError("kernel family requires a kernel_spec")
-    kernel = _KernelBlock(dataset, kernel_spec) if family == "kernel" else None
-    return _select_lambda(dataset, grid, folds, rng, kernel)
+    if family == "kernel":
+        if kernel_spec is None:
+            raise InvalidParameterError("kernel family requires a kernel_spec")
+        holdout = _KernelBlock(dataset, kernel_spec).holdout_residuals
+    else:
+        holdout = partial(_holdout_residuals, dataset)
+    return _select_lambda(dataset.n_rows, grid, folds, rng, holdout)
 
 
-def _select_lambda(dataset: Dataset, grid, folds, rng, kernel: _KernelBlock | None) -> float:
-    """``select_lambda_cv`` for the kernel family on ``kernel``, or the linear one if None."""
+def _select_lambda(n: int, grid, folds, rng, holdout) -> float:
+    """The CV loop of ``select_lambda_cv`` over n rows, whatever the family.
+
+    ``holdout(val_idx, grid)`` returns the validation residuals of the
+    fits on the other rows, shape (len(val_idx), grid.size); every fold
+    adds their mean square to one error per grid value.
+    """
     grid = np.unique([_check_lam(g) for g in grid])
     if grid.size == 0:
         raise InvalidParameterError("lambda grid must be nonempty")
     folds = _check_int(folds, "folds", 2)
-    if dataset.n_rows < folds:
-        raise InsufficientDataError(
-            f"need at least {folds} rows for {folds}-fold CV, got {dataset.n_rows}"
-        )
+    if n < folds:
+        raise InsufficientDataError(f"need at least {folds} rows for {folds}-fold CV, got {n}")
     if grid.size == 1:
         return float(grid[0])
 
-    n = dataset.n_rows
-    parts = cv_folds(n, folds, np.random.default_rng(rng))
-    x, y = dataset.features, dataset.targets
     errors = np.zeros(grid.size)
-    for val_idx in parts:
-        if kernel is not None:
-            resid = kernel.holdout_residuals(val_idx, grid)
-        else:
-            train = np.ones(n, dtype=bool)
-            train[val_idx] = False
-            x_mean, y_mean, gram, rhs = _centered_arrays(x[train], y[train])
-            # one Cholesky per lambda, not one eigh and _tikhonov_filter, until
-            # bench/test_bench.py's pin of 250 factorizations per linear CV call is restated
-            path = np.column_stack([_tikhonov(gram, rhs, lam, 0) for lam in grid])
-            resid = (x[val_idx] - x_mean) @ path + y_mean - y[val_idx, None]
-        errors += np.mean(resid**2, axis=0)
+    for val_idx in cv_folds(n, folds, np.random.default_rng(rng)):
+        errors += np.mean(holdout(val_idx, grid) ** 2, axis=0)
     # np.unique sorted the grid, so [-1] is the largest lambda among the least errors
     return float(grid[errors == errors.min()][-1])
 
@@ -275,12 +267,8 @@ class StreamReport:
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        seed = (int(seed),)
-    seed = tuple(int(s) for s in seed)
-    if any(s < 0 for s in seed):
-        raise InvalidParameterError("seeds must be nonnegative integers")
-    return seed
+    """A seed or sequence of seeds as a tuple of integers >= 0."""
+    return tuple(_check_int(s, "seed", 0) for s in ((seed,) if np.ndim(seed) == 0 else seed))
 
 
 def run_block_stream(
@@ -315,8 +303,7 @@ def run_block_stream(
     labels = [algorithm_label(a.family, a.order) for a in algorithms]
     if len(set(labels)) != len(labels):
         raise InvalidParameterError(f"each algorithm may appear once, got {labels}")
-    families = {a.family for a in algorithms}
-    if len(families) > 1:
+    if len({a.family for a in algorithms}) > 1:
         raise InvalidParameterError("all algorithms in one stream must share a family")
     family = algorithms[0].family
     if family == "kernel" and kernel_spec is None:
@@ -340,7 +327,7 @@ def run_block_stream(
             rng = np.random.default_rng((*seed, t, 1))
             if family == "kernel":
                 kernel = _KernelBlock(block, kernel_spec)
-                lam = _select_lambda(block, cv.grid, cv.folds, rng, kernel)
+                lam = _select_lambda(block.n_rows, cv.grid, cv.folds, rng, kernel.holdout_residuals)
                 test_kernel = kernel.cross(test.features)
             else:
                 lam = select_lambda_cv(block, cv.grid, cv.folds, rng=rng)

@@ -14,9 +14,10 @@ from bcreg import (
     CsvParseError,
     Dataset,
     InsufficientDataError,
+    InvalidParameterError,
     fit_regularized,
 )
-from bcreg.cli import _parser, main, parse_csv_dataset, write_csv_dataset
+from bcreg.cli import _parser, _run_stream_command, main, parse_csv_dataset, write_csv_dataset
 
 
 def write(path, text):
@@ -183,6 +184,18 @@ class TestUsageErrors:
             assert rc == 1
             assert "error: with --input, blocks must be >= 2" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_stream_count_checks_raise_parameter_errors(self, spam_like):
+        """--reps and --blocks out of range raise InvalidParameterError, not the base class."""
+        cases = [
+            (["stream", "--model", "1", "--reps", "0"], "linear", "reps must be >= 1"),
+            (["kernel-stream", "--blocks", "0"], "kernel", "blocks must be >= 1"),
+            (["stream", "--input", spam_like, "--blocks", "1"], "linear",
+             "with --input, blocks must be >= 2"),
+        ]
+        for argv, family, message in cases:
+            with pytest.raises(InvalidParameterError, match=message):
+                _run_stream_command(_parser().parse_args(argv), family)
 
     def test_module_entry_point(self):
         proc = run_module("--help")

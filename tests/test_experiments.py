@@ -5,15 +5,20 @@ import pytest
 from scipy.integrate import quad
 
 from bcreg import (
+    AlgorithmSpec,
     Dataset,
     InsufficientDataError,
     InvalidParameterError,
     ShapeError,
     SyntheticSpec,
+    average_update,
     compute_metrics,
+    cv_folds,
     feature_variances,
+    fit_regularized,
     monte_carlo_bias_variance,
     noise_variance,
+    run_block_stream,
     signal_variance,
     slice_into_chunks,
     spectrum_profile,
@@ -221,3 +226,40 @@ class TestComputeMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             compute_metrics(np.zeros(3), np.zeros(4))
+
+
+def _stream_with_seed(seed):
+    block = synth_block(SyntheticSpec("model1", n=20, seed=1))
+    return run_block_stream([block], [AlgorithmSpec("linear", 0)], block, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SyntheticSpec("model1", n=2.5),
+        lambda: SyntheticSpec("model1", n=np.nan),
+        lambda: SyntheticSpec("model1", n=10, seed=1.5),
+        lambda: SyntheticSpec("model1", n=10, seed=-1),
+        lambda: synth_nonlinear_block(2.5, rng=0),
+        lambda: monte_carlo_bias_variance(SyntheticSpec("model1", n=10), 0.1, 0, reps=2.5),
+        lambda: slice_into_chunks(synth_block(SyntheticSpec("model1", n=10)), 2.5, rng=0),
+        lambda: _stream_with_seed(1.5),
+        lambda: _stream_with_seed((1, 1.5)),
+        lambda: _stream_with_seed((1, -1)),
+        lambda: cv_folds(2.5, 2, np.random.default_rng(0)),
+        lambda: cv_folds(-3, 2, np.random.default_rng(0)),
+        lambda: average_update(
+            None, fit_regularized(synth_block(SyntheticSpec("model1", n=10)), 0.1), 1.5
+        ),
+    ],
+    ids=[
+        "spec-n-float", "spec-n-nan", "spec-seed-float", "spec-seed-negative",
+        "nonlinear-n-float", "mc-reps-float", "chunks-m-float", "stream-seed-float",
+        "stream-seed-tuple-float", "stream-seed-tuple-negative", "folds-n-float",
+        "folds-n-negative", "average-t-float",
+    ],
+)
+def test_non_integer_counts_are_parameter_errors(call):
+    """Every count at the API boundary is an integer (not a float) in range, or raises."""
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        call()

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from bcreg import Dataset, KernelSpec, cv_folds, kernel_matrix
 from bcreg.kernels import _KernelBlock
-from bcreg.linear import _tikhonov, _tikhonov_filter
+from bcreg.linear import _holdout_residuals, _tikhonov, _tikhonov_filter
 
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -101,3 +101,24 @@ def test_holdout_residuals_match_direct_solves():
                     coeffs = np.linalg.solve(shifted, ds.targets[train])
                     direct = ds.targets[val] - kmat[np.ix_(val, train)] @ coeffs
                     assert np.linalg.norm(got[:, g] - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+def test_linear_holdout_residuals_match_direct_ridge_solves():
+    """y_V - (x_V w + b) of the centred ridge fit on T, with b unpenalised, for every fold."""
+    rng = np.random.default_rng(8)
+    grid = np.array([1e-3, 0.2, 5.0])
+    for n, folds in ((23, 4), (20, 5), (31, 10)):
+        x = rng.normal(size=(n, 3)) + 2.0  # off-centre, so the intercept matters
+        y = x @ np.array([1.0, -2.0, 0.5]) + 3.0 + rng.normal(size=n)
+        ds = Dataset(features=x, targets=y)
+        for val in cv_folds(n, folds, rng):
+            train = np.setdiff1d(np.arange(n), val)
+            got = _holdout_residuals(ds, val, grid)
+            assert got.shape == (len(val), grid.size)
+            xc = x[train] - x[train].mean(axis=0)
+            yc = y[train] - y[train].mean()
+            for g, lam in enumerate(grid):
+                w = np.linalg.solve(xc.T @ xc / len(train) + lam * np.eye(3), xc.T @ yc / len(train))
+                b = y[train].mean() - x[train].mean(axis=0) @ w
+                direct = y[val] - (x[val] @ w + b)
+                assert np.linalg.norm(got[:, g] - direct) <= 1e-8 * np.linalg.norm(direct)
