@@ -21,7 +21,6 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -42,7 +41,7 @@ from .experiments import (
     synth_nonlinear_block,
 )
 from .kernels import KernelSpec, fit_kernel_regularized, median_bandwidth
-from .linear import Dataset, fit_regularized
+from .linear import Dataset, _check_float, fit_regularized
 from .streaming import (
     DEFAULT_LAMBDA_GRID,
     AlgorithmSpec,
@@ -149,12 +148,11 @@ def _bandwidth_policy(text: str):
     if text == "median":
         return "median"
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bandwidth must be 'median' or a number, got {text!r}")
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"numeric bandwidth must be finite and > 0, got {text}")
-    return value
+        return _check_float(float(text), "bandwidth", 0.0)
+    except ValueError:  # not a number, or InvalidParameterError
+        raise argparse.ArgumentTypeError(
+            f"bandwidth must be 'median' or a finite number > 0, got {text!r}"
+        ) from None
 
 
 def _add_output_args(sub) -> None:

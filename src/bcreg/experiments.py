@@ -20,10 +20,11 @@ import numpy as np
 
 from .errors import (
     InsufficientDataError,
+    InvalidDataError,
     InvalidParameterError,
     ShapeError,
 )
-from .linear import Dataset, SpectrumProfile, _check_int, fit_regularized
+from .linear import Dataset, SpectrumProfile, _check_float, _check_int, fit_regularized
 
 __all__ = [
     "SyntheticSpec",
@@ -58,8 +59,7 @@ class SyntheticSpec:
         if self.model_id not in MODEL_IDS:
             raise InvalidParameterError(f"unknown model_id {self.model_id!r}")
         _check_int(self.n, "n", 1)
-        if not (np.isfinite(self.snr) and self.snr > 0):
-            raise InvalidParameterError(f"snr must be finite and positive, got {self.snr}")
+        _check_float(self.snr, "snr", 0.0)
         _check_int(self.seed, "seed", 0)
 
 
@@ -120,9 +120,7 @@ def synth_nonlinear_block(n: int, rng, snr: float = 10.0) -> Dataset:
     x is uniform on [-3, 3] and the Gaussian noise variance is set to
     Var(signal) / snr, with the signal variance a precomputed quadrature value.
     """
-    n = _check_int(n, "n", 1)
-    if not (np.isfinite(snr) and snr > 0):
-        raise InvalidParameterError(f"snr must be finite and positive, got {snr}")
+    n, snr = _check_int(n, "n", 1), _check_float(snr, "snr", 0.0)
     gen = np.random.default_rng(rng)
     x = gen.uniform(-3.0, 3.0, size=n)
     noise_sd = np.sqrt(_NONLINEAR_SIGNAL_VARIANCE / snr)
@@ -205,7 +203,8 @@ class Metrics:
 def compute_metrics(predictions, targets, classification: bool = False) -> Metrics:
     """Mean squared error, plus sign-agreement error for +-1 labels.
 
-    Predicted labels are sign(prediction) with sign(0) counted as +1.
+    Predicted labels are sign(prediction) with sign(0) counted as +1.  With
+    ``classification``, a target other than -1 or +1 raises InvalidDataError.
     """
     pred = np.asarray(predictions, dtype=float).ravel()
     targ = np.asarray(targets, dtype=float).ravel()
@@ -216,5 +215,7 @@ def compute_metrics(predictions, targets, classification: bool = False) -> Metri
     mse = float(np.mean((pred - targ) ** 2))
     if not classification:
         return Metrics(mse=mse)
+    if np.any(np.abs(targ) != 1.0):
+        raise InvalidDataError("classification targets must be -1 or +1")
     labels = np.where(pred >= 0, 1.0, -1.0)
     return Metrics(mse=mse, classification_error=float(np.mean(labels != targ)))

@@ -38,7 +38,6 @@ put identical rows a nonzero distance apart.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,10 +53,11 @@ from .errors import (
 from .linear import (
     Dataset,
     _as_rows,
+    _check_float,
     _check_int,
     _check_lam,
     _check_order,
-    _readonly,
+    _finite_array,
     _tikhonov_filter,
 )
 
@@ -92,14 +92,10 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.bandwidth is None or not 0 < self.bandwidth < math.inf:
-                raise InvalidParameterError(
-                    f"gaussian kernel requires a finite bandwidth > 0, got {self.bandwidth}"
-                )
+            _check_float(self.bandwidth, "gaussian kernel bandwidth", 0.0)
         if self.kind == "polynomial":
             _check_int(self.degree, "polynomial kernel degree", 1)
-            if not -math.inf < self.offset < math.inf:
-                raise InvalidParameterError(f"polynomial offset is not finite: {self.offset}")
+            _check_float(self.offset, "polynomial offset")
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
@@ -125,18 +121,14 @@ class KernelModel:
     order: int
 
     def __post_init__(self):
-        centers = np.array(self.centers, dtype=float)
-        coeffs = np.array(self.coeffs, dtype=float)
-        if centers.ndim != 2 or coeffs.ndim != 1:
-            raise ShapeError("centers must be (n, p) and coeffs (n,)")
+        centers = _finite_array(self.centers, 2, "centers")
+        coeffs = _finite_array(self.coeffs, 1, "coeffs")
         if centers.shape[0] != coeffs.shape[0]:
             raise ShapeError("coeffs length must match center count")
-        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(coeffs))):
-            raise InvalidDataError("model arrays must be finite")
         _check_lam(self.lam)
         _check_order(self.order, kernel=True)
-        object.__setattr__(self, "centers", _readonly(centers))
-        object.__setattr__(self, "coeffs", _readonly(coeffs))
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:

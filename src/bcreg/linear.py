@@ -25,8 +25,10 @@ kernel streams never load it.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,17 +53,16 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _check_float(value, name: str, low: float = -math.inf, closed: bool = False) -> float:
+    """``value`` as a float, if it is a real number (no string), finite and > low (>= if closed)."""
+    x = float(value) if isinstance(value, numbers.Real) else math.nan
+    if not (math.isfinite(x) and (x >= low if closed else x > low)):
+        bound = "" if low == -math.inf else f" {'>=' if closed else '>'} {low:g}"
+        raise InvalidParameterError(f"{name} must be a finite number{bound}, got {value!r}")
+    return x
 
 
-def _check_lam(lam) -> float:
-    """The regularization strength as a float, if it is finite and > 0."""
-    value = float(lam)
-    if not 0.0 < value < math.inf:
-        raise InvalidParameterError(f"lambda must be finite and positive, got {lam}")
-    return value
+_check_lam = partial(_check_float, name="lambda", low=0.0)
 
 
 def _check_int(value, name: str, low: int) -> int:
@@ -83,6 +84,20 @@ def _check_order(order, kernel: bool = False) -> int:
     return k
 
 
+def _finite_array(value, ndim: int, name: str) -> np.ndarray:
+    """A read-only float copy of ``value``, if it is a finite ``ndim``-d numeric array."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDataError(f"{name} must be numeric: {exc}") from None
+    if a.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidDataError(f"{name} contains non-finite values")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n x p feature matrix paired with a length-n target vector."""
@@ -91,22 +106,16 @@ class Dataset:
     targets: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.features, dtype=float)
-        y = np.array(self.targets, dtype=float)
-        if x.ndim != 2:
-            raise ShapeError(f"features must be 2-d, got ndim={x.ndim}")
-        if y.ndim != 1:
-            raise ShapeError(f"targets must be 1-d, got ndim={y.ndim}")
+        x = _finite_array(self.features, 2, "features")
+        y = _finite_array(self.targets, 1, "targets")
         if x.shape[0] != y.shape[0]:
             raise ShapeError(
                 f"targets length {y.shape[0]} does not match {x.shape[0]} feature rows"
             )
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise InsufficientDataError("dataset needs at least one row and one column")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InvalidDataError("dataset contains non-finite values")
-        object.__setattr__(self, "features", _readonly(x))
-        object.__setattr__(self, "targets", _readonly(y))
+        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "targets", y)
 
     @property
     def n_rows(self) -> int:
@@ -141,14 +150,10 @@ class LinearModel:
     order: int
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ShapeError("weights must be a vector")
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.intercept)):
-            raise InvalidDataError("model coefficients must be finite")
+        object.__setattr__(self, "weights", _finite_array(self.weights, 1, "weights"))
+        _check_float(self.intercept, "intercept")
         _check_lam(self.lam)
         _check_order(self.order)
-        object.__setattr__(self, "weights", _readonly(w))
 
 
 @dataclass(frozen=True)
@@ -159,16 +164,14 @@ class SpectrumProfile:
     coords: np.ndarray
 
     def __post_init__(self):
-        sig = np.array(self.eigenvalues, dtype=float)
-        c = np.array(self.coords, dtype=float)
-        if sig.ndim != 1 or c.ndim != 1 or sig.shape != c.shape:
+        sig = _finite_array(self.eigenvalues, 1, "eigenvalues")
+        c = _finite_array(self.coords, 1, "coords")
+        if sig.shape != c.shape:
             raise ShapeError("eigenvalues and coords must be vectors of equal length")
-        if not np.all(np.isfinite(sig)) or not np.all(np.isfinite(c)):
-            raise InvalidDataError("profile entries must be finite")
         if np.any(sig <= 0):
             raise InvalidParameterError("eigenvalues must be strictly positive")
-        object.__setattr__(self, "eigenvalues", _readonly(sig))
-        object.__setattr__(self, "coords", _readonly(c))
+        object.__setattr__(self, "eigenvalues", sig)
+        object.__setattr__(self, "coords", c)
 
 
 def _centered_arrays(x: np.ndarray, y: np.ndarray):
@@ -199,7 +202,8 @@ def center(dataset: Dataset) -> CenteredStats:
     """
     x_mean, y_mean, cov, cross = _centered_arrays(dataset.features, dataset.targets)
     return CenteredStats(
-        x_mean=_readonly(x_mean), y_mean=y_mean, cov=_readonly(cov), cross=_readonly(cross)
+        x_mean=_finite_array(x_mean, 1, "x_mean"), y_mean=y_mean,
+        cov=_finite_array(cov, 2, "cov"), cross=_finite_array(cross, 1, "cross"),
     )
 
 
@@ -321,8 +325,7 @@ def filter_factor(sigma: float, lam: float, order: int = 0) -> float:
     [0, 1) and increases strictly with the correction order when
     sigma > 0.
     """
-    if not 0 <= sigma < math.inf:
-        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    sigma = _check_float(sigma, "sigma", 0.0, closed=True)
     lam, order = _check_lam(lam), _check_order(order)
     shrink = lam / (lam + sigma)
     return 1.0 - shrink ** (order + 1)

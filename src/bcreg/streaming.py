@@ -34,11 +34,12 @@ from .kernels import KernelModel, KernelSpec, _KernelBlock, predict_kernel
 from .linear import (
     Dataset,
     LinearModel,
+    _check_float,
     _check_int,
     _check_lam,
     _check_order,
+    _finite_array,
     _holdout_residuals,
-    _readonly,
     fit_regularized,
     predict_linear,
 )
@@ -74,7 +75,9 @@ class AveragedLinearModel:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _readonly(np.array(self.weights, dtype=float)))
+        object.__setattr__(self, "weights", _finite_array(self.weights, 1, "weights"))
+        _check_float(self.intercept, "intercept")
+        _check_int(self.count, "count", 1)
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class AveragedKernelModel:
 
 
 AveragedModel = AveragedLinearModel | AveragedKernelModel
+# base fit type -> the running average that absorbs it
+_AVERAGED = {LinearModel: AveragedLinearModel, KernelModel: AveragedKernelModel}
 
 
 def average_update(current, fresh, t: int):
@@ -108,30 +113,24 @@ def average_update(current, fresh, t: int):
     Returns a new averaged model; inputs are never mutated.
     """
     t = _check_int(t, "t", 1)
-    if t == 1:
-        if current is not None:
-            raise SequencingError("t == 1 requires an empty current average")
-        if isinstance(fresh, LinearModel):
-            return AveragedLinearModel(weights=fresh.weights, intercept=fresh.intercept, count=1)
-        if isinstance(fresh, KernelModel):
-            return AveragedKernelModel(models=(fresh,))
-        raise InvalidStateError(f"cannot average model of type {type(fresh).__name__}")
-    if current is None:
-        raise SequencingError(f"t == {t} but no current average was supplied")
-    if current.count + 1 != t:
-        raise SequencingError(f"expected t == {current.count + 1}, got {t}")
-    if isinstance(current, AveragedLinearModel):
-        if not isinstance(fresh, LinearModel):
-            raise InvalidStateError("linear average cannot absorb a non-linear model")
-        frac = (t - 1) / t
-        return AveragedLinearModel(
-            weights=frac * current.weights + fresh.weights / t,
-            intercept=frac * current.intercept + fresh.intercept / t,
-            count=t,
+    averaged = _AVERAGED.get(type(fresh))
+    if averaged is None or not isinstance(current, (averaged, type(None))):
+        raise InvalidStateError(
+            f"cannot average a {type(fresh).__name__} into a {type(current).__name__}"
         )
-    if not isinstance(fresh, KernelModel):
-        raise InvalidStateError("kernel average cannot absorb a non-kernel model")
-    return AveragedKernelModel(models=current.models + (fresh,))
+    expected = 1 if current is None else current.count + 1
+    if t != expected:
+        raise SequencingError(f"expected t == {expected}, got {t}")
+    if averaged is AveragedKernelModel:
+        return AveragedKernelModel(models=(() if current is None else current.models) + (fresh,))
+    if current is None:
+        return AveragedLinearModel(weights=fresh.weights, intercept=fresh.intercept, count=1)
+    frac = (t - 1) / t
+    return AveragedLinearModel(
+        weights=frac * current.weights + fresh.weights / t,
+        intercept=frac * current.intercept + fresh.intercept / t,
+        count=t,
+    )
 
 
 def predict_averaged(model: AveragedModel, rows) -> np.ndarray:
@@ -166,10 +165,17 @@ def algorithm_label(family: str, order: int) -> str:
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Grid and fold count for per-block cross validation."""
+    """Grid and fold count for per-block CV, checked when built: floats > 0, an int >= 2."""
 
     grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     folds: int = 10
+
+    def __post_init__(self):
+        grid = tuple(_check_lam(g) for g in self.grid)
+        if not grid:
+            raise InvalidParameterError("lambda grid must be nonempty")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "folds", _check_int(self.folds, "folds", 2))
 
 
 def cv_folds(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -209,27 +215,25 @@ def select_lambda_cv(
         holdout = _KernelBlock(dataset, kernel_spec).holdout_residuals
     else:
         holdout = partial(_holdout_residuals, dataset)
-    return _select_lambda(dataset.n_rows, grid, folds, rng, holdout)
+    return _select_lambda(dataset.n_rows, CvConfig(grid, folds), rng, holdout)
 
 
-def _select_lambda(n: int, grid, folds, rng, holdout) -> float:
+def _select_lambda(n: int, cv: CvConfig, rng, holdout) -> float:
     """The CV loop of ``select_lambda_cv`` over n rows, whatever the family.
 
-    ``holdout(val_idx, grid)`` returns the validation residuals of the
-    fits on the other rows, shape (len(val_idx), grid.size); every fold
-    adds their mean square to one error per grid value.
+    ``cv`` was checked when it was built.  ``holdout(val_idx, grid)``
+    returns the validation residuals of the fits on the other rows, shape
+    (len(val_idx), grid.size); every fold adds their mean square to one
+    error per grid value.
     """
-    grid = np.unique([_check_lam(g) for g in grid])
-    if grid.size == 0:
-        raise InvalidParameterError("lambda grid must be nonempty")
-    folds = _check_int(folds, "folds", 2)
-    if n < folds:
-        raise InsufficientDataError(f"need at least {folds} rows for {folds}-fold CV, got {n}")
+    if n < cv.folds:
+        raise InsufficientDataError(f"{cv.folds}-fold CV needs at least {cv.folds} rows, got {n}")
+    grid = np.unique(cv.grid)
     if grid.size == 1:
         return float(grid[0])
 
     errors = np.zeros(grid.size)
-    for val_idx in cv_folds(n, folds, np.random.default_rng(rng)):
+    for val_idx in cv_folds(n, cv.folds, np.random.default_rng(rng)):
         errors += np.mean(holdout(val_idx, grid) ** 2, axis=0)
     # np.unique sorted the grid, so [-1] is the largest lambda among the least errors
     return float(grid[errors == errors.min()][-1])
@@ -314,8 +318,7 @@ def run_block_stream(
             raise ShapeError(f"block {i + 1} has {b.n_features} columns, expected {p}")
     if test.n_features != p:
         raise ShapeError(f"test set has {test.n_features} columns, expected {p}")
-    if cv is None:
-        cv = CvConfig()
+    cv = CvConfig() if cv is None else cv
     seed = _seed_tuple(seed)
 
     # label -> running sum of the block fits' test-set predictions
@@ -325,21 +328,20 @@ def run_block_stream(
         try:
             # entropy tag 1 keeps fold shuffling apart from data streams
             rng = np.random.default_rng((*seed, t, 1))
+            # lambda, and every algorithm's test-set predictions of its fit on this block
             if family == "kernel":
                 kernel = _KernelBlock(block, kernel_spec)
-                lam = _select_lambda(block.n_rows, cv.grid, cv.folds, rng, kernel.holdout_residuals)
+                lam = _select_lambda(block.n_rows, cv, rng, kernel.holdout_residuals)
                 test_kernel = kernel.cross(test.features)
+                fresh = [test_kernel @ kernel.fit(lam, a.order).coeffs for a in algorithms]
             else:
                 lam = select_lambda_cv(block, cv.grid, cv.folds, rng=rng)
+                fits = [fit_regularized(block, lam, a.order) for a in algorithms]
+                fresh = [predict_linear(fit, test.features) for fit in fits]
             mse: dict[str, float] = {}
             cls_err: dict[str, float] = {}
-            for algo, label in zip(algorithms, labels):
-                if family == "linear":
-                    fit = fit_regularized(block, lam, algo.order)
-                    fresh = predict_linear(fit, test.features)
-                else:
-                    fresh = test_kernel @ kernel.fit(lam, algo.order).coeffs
-                sums[label] = sums[label] + fresh
+            for label, predictions in zip(labels, fresh):
+                sums[label] = sums[label] + predictions
                 metrics: Metrics = compute_metrics(sums[label] / t, test.targets, classification)
                 mse[label] = metrics.mse
                 if classification:

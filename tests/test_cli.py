@@ -350,6 +350,21 @@ class TestStreamCommand:
         ce = results["classification_error"]["rr"]
         assert all(0.0 <= v <= 1.0 for v in ce)
 
+    def test_classification_of_regression_targets_is_operation_error(self, tmp_path, capsys):
+        """--classification needs +-1 targets; real-valued ones exit 1 instead of scoring 1.0."""
+        rng = np.random.default_rng(56)
+        x = rng.normal(size=(60, 2))
+        src = tmp_path / "regression.csv"
+        write_csv_dataset(Dataset(features=x, targets=x @ np.array([1.0, -2.0])), src)
+        out = tmp_path / "r.json"
+        args = ["stream", "--input", str(src), "--blocks", "3", "--folds", "4",
+                "--classification", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: block 1:") and "-1 or +1" in err
+        assert not out.exists()
+        assert main(args[:-3] + ["--out", str(out)]) == 0  # without --classification
+
     def test_csv_output_columns(self, tmp_path):
         out = tmp_path / "r.csv"
         args = [

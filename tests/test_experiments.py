@@ -6,15 +6,22 @@ from scipy.integrate import quad
 
 from bcreg import (
     AlgorithmSpec,
+    AveragedLinearModel,
+    BcregError,
+    CvConfig,
     Dataset,
     InsufficientDataError,
+    InvalidDataError,
     InvalidParameterError,
+    KernelSpec,
+    LinearModel,
     ShapeError,
     SyntheticSpec,
     average_update,
     compute_metrics,
     cv_folds,
     feature_variances,
+    filter_factor,
     fit_regularized,
     monte_carlo_bias_variance,
     noise_variance,
@@ -227,6 +234,13 @@ class TestComputeMetrics:
         with pytest.raises(ShapeError):
             compute_metrics(np.zeros(3), np.zeros(4))
 
+    def test_classification_targets_must_be_plus_or_minus_one(self):
+        for targets in ([1.0, 0.0], [1.0, 2.0], [-1.0, 0.5], [1.0, -1.0000000000000002]):
+            with pytest.raises(InvalidDataError, match="-1 or \\+1"):
+                compute_metrics(np.array([0.3, -0.2]), np.array(targets), classification=True)
+        # regression targets are fine when no classification error is asked for
+        assert compute_metrics(np.zeros(2), np.array([0.5, 2.0])).mse == 2.125
+
 
 def _stream_with_seed(seed):
     block = synth_block(SyntheticSpec("model1", n=20, seed=1))
@@ -262,4 +276,34 @@ def _stream_with_seed(seed):
 def test_non_integer_counts_are_parameter_errors(call):
     """Every count at the API boundary is an integer (not a float) in range, or raises."""
     with pytest.raises(InvalidParameterError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: KernelSpec.gaussian("1"), InvalidParameterError),
+        (lambda: KernelSpec.polynomial(2, "x"), InvalidParameterError),
+        (lambda: SyntheticSpec("model1", n=10, snr=None), InvalidParameterError),
+        (lambda: synth_nonlinear_block(10, 0, snr="a"), InvalidParameterError),
+        (lambda: LinearModel(weights=[1.0], intercept=None, lam=1.0, order=0),
+         InvalidParameterError),
+        (lambda: filter_factor(None, 0.1), InvalidParameterError),
+        (lambda: Dataset([["a"]], [1.0]), InvalidDataError),
+        (lambda: AveragedLinearModel([np.nan], np.nan, 1), InvalidDataError),
+        (lambda: AveragedLinearModel([[1.0, 2.0]], 0.0, 1), ShapeError),
+        (lambda: CvConfig(grid=(0.1, np.nan)), InvalidParameterError),
+        (lambda: CvConfig(folds=2.5), InvalidParameterError),
+        (lambda: CvConfig(grid=()), InvalidParameterError),
+    ],
+    ids=[
+        "bandwidth-str", "offset-str", "spec-snr-none", "nonlinear-snr-str",
+        "intercept-none", "sigma-none", "features-str", "averaged-nan", "averaged-2d",
+        "grid-nan", "folds-float", "grid-empty",
+    ],
+)
+def test_bad_boundary_values_raise_bcreg_errors(call, error):
+    """Strings, None, NaN and wrong shapes raise a BcregError subclass, never a TypeError."""
+    assert issubclass(error, BcregError)
+    with pytest.raises(error):
         call()

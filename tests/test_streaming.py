@@ -397,12 +397,12 @@ class TestRunBlockStream:
     def test_error_annotated_with_block_index(self):
         blocks = small_blocks(11, count=2)
         test = synth_block(SyntheticSpec("model1", n=50, seed=11), rng=2)
-        with pytest.raises(InvalidParameterError, match="block 1"):
+        with pytest.raises(InsufficientDataError, match="block 1"):
             run_block_stream(
                 blocks,
                 [AlgorithmSpec("linear", 0)],
                 test,
-                cv=CvConfig(grid=(0.1,), folds=1),  # folds < 2 fails inside block 1
+                cv=CvConfig(grid=(0.1,), folds=61),  # more folds than rows fails inside block 1
                 seed=0,
             )
 
