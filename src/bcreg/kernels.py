@@ -1,16 +1,17 @@
-"""Regularization kernel networks and their bias-corrected variant.
+"""Regularization kernel networks and their order-k bias-corrected variants.
 
 The kernel analogue of ridge regression represents the fit as
 f(x) = sum_i c_i K(x_i, x) over the training inputs and solves the
-dense system (lambda n I + K) c = y.  The order-1 bias correction acts
-in coefficient space:
+dense system (lambda n I + K) c = y.  The order-k bias correction acts
+in coefficient space, with c#_0 = c:
 
-    c# = c + lambda (lambda I + K/n)^-1 c = c + lambda n (lambda n I + K)^-1 c.
+    c#_k = c#_{k-1} + lambda^k (lambda I + K/n)^-k c
+         = c#_{k-1} + (lambda n)^k (lambda n I + K)^-k c.
 
-Both are the iterated-Tikhonov solve that also fits corrected ridge,
-applied to (K, y) with the shift mu = lambda n.  A block's kernel matrix
-is built and decomposed once, K = U diag(s) U', and every fit is the
-spectral filter sum_{j=0..k} mu^j / (mu + s)^(j+1) applied to U' y.
+Every order is the iterated-Tikhonov solve that also fits corrected
+ridge, applied to (K, y) with the shift mu = lambda n.  A block's kernel
+matrix is built and decomposed once, K = U diag(s) U', and every fit is
+the spectral filter sum_{j=0..k} mu^j / (mu + s)^(j+1) applied to U' y.
 Cross validation on the block reads the same decomposition: a fold's
 held-out residuals follow in closed form from (K + mu I)^-1, so neither
 the fits nor the folds factor another matrix.
@@ -19,15 +20,16 @@ No intercept and no target centering are used; the fit lives entirely
 in the kernel's function space.
 
 Bad input raises at the call: a lambda that is not finite and > 0, an
-order outside {0, 1}, a Gaussian bandwidth that is not finite and > 0,
-a polynomial degree that is not an integer >= 1, or a non-finite
-polynomial offset raises InvalidParameterError.  ``kernel_matrix``
-raises InvalidDataError when an entry overflows or is NaN, so nothing
-downstream (cross validation, fits, predictions) ever sees one.  A
-kernel that is not positive semi-definite (e.g. a polynomial kernel
-with a negative offset) raises DegenerateDataError, in a fit and in
-cross validation alike, at the first shift mu with s_min + mu <= 0,
-where s_min is the smallest eigenvalue of the block's kernel matrix.
+order that is not an integer >= 0, a Gaussian bandwidth that is not
+finite and > 0, a polynomial degree that is not an integer >= 1, or a
+non-finite polynomial offset raises InvalidParameterError.
+``kernel_matrix`` raises InvalidDataError when an entry overflows or is
+NaN, so nothing downstream (cross validation, fits, predictions) ever
+sees one.  A kernel that is not positive semi-definite (e.g. a
+polynomial kernel with a negative offset) raises DegenerateDataError, in
+a fit and in cross validation alike, at the first shift mu with
+s_min + mu <= 0, where s_min is the smallest eigenvalue of the block's
+kernel matrix.
 
 Distances take numpy alone (``_sq_distances``), so the kernel path
 never imports scipy.  Exact per-feature sums cost time on wide inputs:
@@ -126,7 +128,7 @@ class KernelModel:
         if centers.shape[0] != coeffs.shape[0]:
             raise ShapeError("coeffs length must match center count")
         _check_lam(self.lam)
-        _check_order(self.order, kernel=True)
+        _check_order(self.order)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -235,7 +237,7 @@ class _KernelBlock:
 
     def fit(self, lam: float, order: int) -> KernelModel:
         """The order-k fit at lambda: c = U (filter * U' y) at the shift lambda n."""
-        lam, order = _check_lam(lam), _check_order(order, kernel=True)
+        lam, order = _check_lam(lam), _check_order(order)
         s, u, uy = self.eig
         filt = _tikhonov_filter(s, np.array([lam * self.dataset.n_rows]), order)[0]
         coeffs = u @ (filt * uy)
@@ -275,7 +277,7 @@ class _KernelBlock:
 def fit_kernel_regularized(
     dataset: Dataset, spec: KernelSpec, lam: float, order: int = 0
 ) -> KernelModel:
-    """Fit the kernel network (order 0) or its corrected variant (order 1)."""
+    """Fit the kernel network (order 0) or its order-k bias-corrected variant."""
     return _KernelBlock(dataset, spec).fit(lam, order)
 
 

@@ -76,12 +76,7 @@ def _check_int(value, name: str, low: int) -> int:
     return k
 
 
-def _check_order(order, kernel: bool = False) -> int:
-    """The correction order as an int, if it is an integer >= 0 (<= 1 for kernels)."""
-    k = _check_int(order, "order", 0)
-    if kernel and k > 1:
-        raise InvalidParameterError(f"kernel correction order must be 0 or 1, got {k}")
-    return k
+_check_order = partial(_check_int, name="order", low=0)
 
 
 def _finite_array(value, ndim: int, name: str) -> np.ndarray:

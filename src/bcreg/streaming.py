@@ -91,6 +91,13 @@ class AveragedKernelModel:
 
     models: tuple[KernelModel, ...]
 
+    def __post_init__(self):
+        models = tuple(self.models)
+        _check_int(len(models), "count", 1)
+        if not all(isinstance(m, KernelModel) for m in models):
+            raise InvalidStateError("an AveragedKernelModel averages KernelModel fits only")
+        object.__setattr__(self, "models", models)
+
     @property
     def count(self) -> int:
         return len(self.models)
@@ -150,11 +157,11 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidParameterError(f"unknown family {self.family!r}")
-        _check_order(self.order, kernel=self.family == "kernel")
+        _check_order(self.order)
 
 
 def algorithm_label(family: str, order: int) -> str:
-    """Series name for reports: rr / bcrr / bcrr-k, rkn / bcrkn."""
+    """Series name for reports: rr / bcrr / bcrr-k, rkn / bcrkn / bcrkn-k."""
     base = {"linear": ("rr", "bcrr"), "kernel": ("rkn", "bcrkn")}[family]
     if order == 0:
         return base[0]
@@ -171,9 +178,11 @@ class CvConfig:
     folds: int = 10
 
     def __post_init__(self):
-        grid = tuple(_check_lam(g) for g in self.grid)
+        grid = tuple(map(_check_lam, self.grid)) if np.iterable(self.grid) else ()
         if not grid:
-            raise InvalidParameterError("lambda grid must be nonempty")
+            raise InvalidParameterError(
+                f"lambda grid must be a nonempty sequence of numbers, got {self.grid!r}"
+            )
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "folds", _check_int(self.folds, "folds", 2))
 

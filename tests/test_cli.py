@@ -402,6 +402,20 @@ class TestKernelStreamCommand:
         assert set(results["mse"]) == {"rkn", "bcrkn"}
         assert len(results["mse"]["rkn"]) == 3
 
+    def test_orders_above_one(self, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        args = [
+            "kernel-stream", "--blocks", "2", "--block-size", "30", "--test-size", "60",
+            "--orders", "0,1,2,3", "--reps", "1", "--seed", "3", "--out", str(out),
+        ]
+        assert main(args) == 0
+        results = json.loads(out.read_text())["results"]
+        assert set(results["mse"]) == {"rkn", "bcrkn", "bcrkn-2", "bcrkn-3"}
+        path = write(tmp_path / "d.csv", "x,y\n0,1\n1,0\n2,1\n3,0\n")
+        assert main(["fit", "--input", path, "--lambda", "0.1", "--family", "kernel",
+                     "--order", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["order"] == 2
+
     def test_numeric_bandwidth(self, tmp_path):
         out = tmp_path / "k.json"
         args = [

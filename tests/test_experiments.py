@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from bcreg import (
     AlgorithmSpec,
+    AveragedKernelModel,
     AveragedLinearModel,
     BcregError,
     CvConfig,
@@ -13,6 +14,7 @@ from bcreg import (
     InsufficientDataError,
     InvalidDataError,
     InvalidParameterError,
+    InvalidStateError,
     KernelSpec,
     LinearModel,
     ShapeError,
@@ -295,11 +297,17 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: CvConfig(grid=(0.1, np.nan)), InvalidParameterError),
         (lambda: CvConfig(folds=2.5), InvalidParameterError),
         (lambda: CvConfig(grid=()), InvalidParameterError),
+        (lambda: CvConfig(grid=0.1), InvalidParameterError),
+        (lambda: CvConfig(grid=None), InvalidParameterError),
+        (lambda: AveragedKernelModel(models=()), InvalidParameterError),
+        (lambda: AveragedKernelModel(models=(LinearModel([1.0], 0.0, 1.0, 0),)),
+         InvalidStateError),
     ],
     ids=[
         "bandwidth-str", "offset-str", "spec-snr-none", "nonlinear-snr-str",
         "intercept-none", "sigma-none", "features-str", "averaged-nan", "averaged-2d",
-        "grid-nan", "folds-float", "grid-empty",
+        "grid-nan", "folds-float", "grid-empty", "grid-scalar", "grid-none",
+        "averaged-kernel-empty", "averaged-kernel-linear",
     ],
 )
 def test_bad_boundary_values_raise_bcreg_errors(call, error):

@@ -250,9 +250,10 @@ class TestFitKernelRegularized:
 
     def test_invalid_order(self):
         ds = Dataset(features=np.zeros((2, 1)), targets=np.zeros(2))
-        for order in (2, -1, 0.5):
+        for order in (-1, 0.5, 1.5):
             with pytest.raises(InvalidParameterError):
                 fit_kernel_regularized(ds, GAUSS, 1.0, order)
+        assert fit_kernel_regularized(ds, GAUSS, 1.0, 2).order == 2
 
     def test_non_psd_kernel_is_degenerate(self):
         rng = np.random.default_rng(0)
@@ -262,24 +263,35 @@ class TestFitKernelRegularized:
             fit_kernel_regularized(ds, spec, 1e-6, 0)
 
     def test_coefficient_identity(self):
-        """c# must equal (lam I + K/n)^-1 (2 lam I + K/n) c for every fit."""
+        """c# must equal (lam I + K/n)^-1 (2 lam I + K/n) c for every fit, and the
+        order-k fit sum_{j=0..k} mu^j (mu I + K)^-(j+1) y with mu = lam n."""
         rng = np.random.default_rng(17)
-        for _ in range(40):
-            n = int(rng.integers(2, 60))
-            p = int(rng.integers(1, 6))
-            lam = float(10 ** rng.uniform(-4, 2))
-            x = rng.normal(size=(n, p))
-            y = rng.normal(size=n)
-            ds = Dataset(features=x, targets=y)
-            c0 = fit_kernel_regularized(ds, GAUSS, lam, 0).coeffs
-            c1 = fit_kernel_regularized(ds, GAUSS, lam, 1).coeffs
-            k_over_n = kernel_matrix(GAUSS, x, x) / n
-            direct = np.linalg.solve(
-                lam * np.eye(n) + k_over_n, (2 * lam * np.eye(n) + k_over_n) @ c0
-            )
-            assert np.linalg.norm(c1 - direct) <= 1e-8 * max(
-                np.linalg.norm(direct), 1e-300
-            )
+        for spec in (GAUSS, KernelSpec.polynomial(2, 1.0)):
+            for _ in range(40):
+                n = int(rng.integers(2, 60))
+                p = int(rng.integers(1, 6))
+                lam = float(10 ** rng.uniform(-4, 2))
+                x = rng.normal(size=(n, p))
+                y = rng.normal(size=n)
+                ds = Dataset(features=x, targets=y)
+                c0 = fit_kernel_regularized(ds, spec, lam, 0).coeffs
+                c1 = fit_kernel_regularized(ds, spec, lam, 1).coeffs
+                k_over_n = kernel_matrix(spec, x, x) / n
+                direct = np.linalg.solve(
+                    lam * np.eye(n) + k_over_n, (2 * lam * np.eye(n) + k_over_n) @ c0
+                )
+                assert np.linalg.norm(c1 - direct) <= 1e-8 * max(
+                    np.linalg.norm(direct), 1e-300
+                )
+                shifted = lam * n * np.eye(n) + k_over_n * n
+                direct = term = np.linalg.solve(shifted, y)
+                for order in (1, 2, 3):
+                    term = lam * n * np.linalg.solve(shifted, term)
+                    direct = direct + term
+                    ck = fit_kernel_regularized(ds, spec, lam, order).coeffs
+                    assert np.linalg.norm(ck - direct) <= 1e-8 * max(
+                        np.linalg.norm(direct), 1e-300
+                    )
 
     def test_interpolation_limit(self):
         """With lambda -> 0 and a well-conditioned K, training preds hit targets."""

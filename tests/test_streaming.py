@@ -424,7 +424,7 @@ class TestRunBlockStream:
         with pytest.raises(ShapeError):
             run_block_stream(blocks, [AlgorithmSpec("linear", 0)], bad_test, seed=0)
 
-    def test_kernel_stream_runs_and_orders_capped(self):
+    def test_kernel_stream_runs_at_order_2(self):
         rng = np.random.default_rng(14)
         blocks = [
             Dataset(features=rng.uniform(-2, 2, (30, 1)), targets=rng.normal(size=30))
@@ -434,16 +434,16 @@ class TestRunBlockStream:
         spec = KernelSpec.gaussian(1.0)
         report = run_block_stream(
             blocks,
-            [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)],
+            [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1), AlgorithmSpec("kernel", 2)],
             test,
             cv=CvConfig(grid=(0.01, 1.0), folds=5),
             seed=5,
             kernel_spec=spec,
         )
         assert len(report.per_step) == 2
-        assert set(report.per_step[0].mse) == {"rkn", "bcrkn"}
+        assert set(report.per_step[0].mse) == {"rkn", "bcrkn", "bcrkn-2"}
         with pytest.raises(InvalidParameterError):
-            AlgorithmSpec("kernel", 2)
+            AlgorithmSpec("kernel", -1)
 
     def test_classification_metrics_present(self):
         rng = np.random.default_rng(15)

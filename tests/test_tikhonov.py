@@ -62,9 +62,10 @@ def test_ridge_path_matches_order0_solves(system, shifts):
 @settings(deadline=None, max_examples=200)
 @given(systems(), shift_paths)
 def test_filter_matches_corrected_solves(system, shifts):
-    """The order-1 spectral filter at every shift gives _tikhonov(G, b, shift, 1)."""
+    """The order-k spectral filter at every shift gives _tikhonov(G, b, shift, k), k = 1..3."""
     gram, rhs, _, _ = system
-    assert_filter_matches_tikhonov(gram, rhs, shifts, 1)
+    for order in (1, 2, 3):
+        assert_filter_matches_tikhonov(gram, rhs, shifts, order)
 
 
 @settings(deadline=None, max_examples=200)
