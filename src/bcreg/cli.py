@@ -31,7 +31,6 @@ from .errors import (
     CsvFormatError,
     CsvParseError,
     InsufficientDataError,
-    InvalidParameterError,
 )
 from .experiments import (
     SyntheticSpec,
@@ -41,14 +40,8 @@ from .experiments import (
     synth_nonlinear_block,
 )
 from .kernels import KernelSpec, fit_kernel_regularized, median_bandwidth
-from .linear import Dataset, _check_float, fit_regularized
-from .streaming import (
-    DEFAULT_LAMBDA_GRID,
-    AlgorithmSpec,
-    CvConfig,
-    algorithm_label,
-    run_block_stream,
-)
+from .linear import Dataset, _check_float, _check_int, fit_regularized
+from .streaming import DEFAULT_LAMBDA_GRID, CvConfig, algorithm_label, run_block_stream
 
 __all__ = ["parse_csv_dataset", "write_csv_dataset", "build_parser", "main", "entry"]
 
@@ -348,17 +341,11 @@ def _rep_mean(series) -> list[float]:
 
 
 def _run_stream_command(args, family: str):
-    if args.reps < 1:
-        raise InvalidParameterError(f"reps must be >= 1, got {args.reps}")
-    if args.blocks < 1:
-        raise InvalidParameterError(f"blocks must be >= 1, got {args.blocks}")
-    if args.input and args.blocks < 2:
-        raise InvalidParameterError(
-            f"with --input, blocks must be >= 2 (one chunk is the test set), got {args.blocks}"
-        )
-    grid = tuple(args.grid) if args.grid is not None else DEFAULT_LAMBDA_GRID
-    cv = CvConfig(grid=grid, folds=args.folds)
-    algorithms = [AlgorithmSpec(family, o) for o in args.orders]
+    _check_int(args.reps, "reps", 1)
+    _check_int(args.blocks, "blocks", 1)
+    if args.input:  # one chunk is the test set
+        _check_int(args.blocks, "with --input, blocks", 2)
+    cv = CvConfig(DEFAULT_LAMBDA_GRID if args.grid is None else args.grid, args.folds)
     labels = [algorithm_label(family, o) for o in args.orders]
     full = parse_csv_dataset(args.input) if args.input else None
 
@@ -369,7 +356,7 @@ def _run_stream_command(args, family: str):
             _kernel_spec_from_args(args, blocks[0].features) if family == "kernel" else None
         )
         reports.append(run_block_stream(
-            blocks, algorithms, test, cv=cv, seed=(args.seed, rep),
+            blocks, args.orders, test, cv=cv, seed=(args.seed, rep),
             classification=args.classification, kernel_spec=kernel_spec,
         ))
 
@@ -396,7 +383,7 @@ def _run_stream_command(args, family: str):
         "orders": args.orders,
         "reps": args.reps,
         "folds": args.folds,
-        "grid": [float(g) for g in grid],
+        "grid": list(cv.grid),
         "snr": None if args.input else args.snr,
         "classification": args.classification,
     }

@@ -11,8 +11,11 @@ averaged model itself, avg_t = ((t - 1) / t) avg_{t-1} + (1 / t) fit_t.
 Averaging shrinks the variance of the base algorithm like 1/t while its
 bias persists, which is what makes low-bias base fits attractive here.
 The regularization strength is re-selected by k-fold cross validation
-on every incoming block and shared by all competing algorithms on that
-block.
+on every incoming block and shared by all competing correction orders
+on that block.  Each setting is stated once: a ``kernel_spec`` picks the
+kernel network (none means ridge regression), a ``CvConfig`` carries the
+lambda grid and fold count, checked when it is built, and a stream
+compares a list of correction orders.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "AveragedLinearModel",
     "AveragedKernelModel",
-    "AlgorithmSpec",
     "CvConfig",
     "StepMetrics",
     "StreamReport",
@@ -62,8 +64,6 @@ __all__ = [
 
 # 25 log-spaced candidates spanning the useful shrinkage range.
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6, 2, 25))
-
-FAMILIES = ("linear", "kernel")
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class AveragedKernelModel:
     models: tuple[KernelModel, ...]
 
     def __post_init__(self):
-        models = tuple(self.models)
+        models = tuple(self.models) if np.iterable(self.models) else ()
         _check_int(len(models), "count", 1)
         if not all(isinstance(m, KernelModel) for m in models):
             raise InvalidStateError("an AveragedKernelModel averages KernelModel fits only")
@@ -144,30 +144,22 @@ def predict_averaged(model: AveragedModel, rows) -> np.ndarray:
     """Evaluate a running-average model on m rows."""
     if isinstance(model, AveragedLinearModel):
         return predict_linear(model, rows)
+    if not isinstance(model, AveragedKernelModel):
+        raise InvalidStateError(f"{type(model).__name__} is not an averaged model")
     return sum(predict_kernel(m, rows) for m in model.models) / model.count
 
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """One competing base algorithm: a family plus its correction order."""
-
-    family: str
-    order: int
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidParameterError(f"unknown family {self.family!r}")
-        _check_order(self.order)
+# family -> series names of its order-0 and its bias-corrected fits
+_LABELS = {"linear": ("rr", "bcrr"), "kernel": ("rkn", "bcrkn")}
 
 
 def algorithm_label(family: str, order: int) -> str:
     """Series name for reports: rr / bcrr / bcrr-k, rkn / bcrkn / bcrkn-k."""
-    base = {"linear": ("rr", "bcrr"), "kernel": ("rkn", "bcrkn")}[family]
-    if order == 0:
-        return base[0]
-    if order == 1:
-        return base[1]
-    return f"{base[1]}-{order}"
+    base = _LABELS.get(family) if isinstance(family, str) else None
+    if base is None:
+        raise InvalidParameterError(f"unknown family {family!r}, expected 'linear' or 'kernel'")
+    order = _check_order(order)
+    return base[0] if order == 0 else base[1] if order == 1 else f"{base[1]}-{order}"
 
 
 @dataclass(frozen=True)
@@ -187,26 +179,26 @@ class CvConfig:
         object.__setattr__(self, "folds", _check_int(self.folds, "folds", 2))
 
 
-def cv_folds(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Seeded random partition of range(n) into near-equal index sets."""
-    perm = rng.permutation(_check_int(n, "n", 1))
+def cv_folds(n: int, folds: int, rng) -> list[np.ndarray]:
+    """Seeded random partition of range(n) into near-equal index sets.
+
+    ``rng`` may be an integer seed or a Generator, which is used as is.
+    """
+    perm = np.random.default_rng(rng).permutation(_check_int(n, "n", 1))
     return [np.sort(part) for part in np.array_split(perm, _check_int(folds, "folds", 2))]
 
 
 def select_lambda_cv(
-    dataset: Dataset,
-    grid,
-    folds: int = 10,
-    rng=0,
-    family: str = "linear",
-    kernel_spec: KernelSpec | None = None,
+    dataset: Dataset, cv: CvConfig = CvConfig(), rng=0, kernel_spec: KernelSpec | None = None
 ) -> float:
-    """Pick the grid value minimizing k-fold validation squared error.
+    """Pick the value of ``cv.grid`` minimizing k-fold validation squared error.
 
-    The fold assignment is a seeded random partition into ``folds``
-    near-equal parts; ties are broken toward the largest lambda, which
-    keeps the linear systems better conditioned at no cost in CV error.
-    ``rng`` may be an integer seed or a Generator.
+    Without a ``kernel_spec`` the fits are ridge regression; with one, the
+    regularization kernel network of that kernel.  The fold assignment is
+    a seeded random partition into ``cv.folds`` near-equal parts; ties are
+    broken toward the largest lambda, which keeps the linear systems
+    better conditioned at no cost in CV error.  ``rng`` may be an integer
+    seed or a Generator.
 
     Each family scores a held-out fold in its own module.  Linear folds
     (``linear._holdout_residuals``) take (cov, cross) of their training
@@ -216,15 +208,11 @@ def select_lambda_cv(
     at lambda n_train follow from that one decomposition in closed form.
     A kernel that is not positive semi-definite raises DegenerateDataError.
     """
-    if family not in FAMILIES:
-        raise InvalidParameterError(f"unknown family {family!r}")
-    if family == "kernel":
-        if kernel_spec is None:
-            raise InvalidParameterError("kernel family requires a kernel_spec")
-        holdout = _KernelBlock(dataset, kernel_spec).holdout_residuals
-    else:
+    if kernel_spec is None:
         holdout = partial(_holdout_residuals, dataset)
-    return _select_lambda(dataset.n_rows, CvConfig(grid, folds), rng, holdout)
+    else:
+        holdout = _KernelBlock(dataset, kernel_spec).holdout_residuals
+    return _select_lambda(dataset.n_rows, cv, rng, holdout)
 
 
 def _select_lambda(n: int, cv: CvConfig, rng, holdout) -> float:
@@ -235,6 +223,8 @@ def _select_lambda(n: int, cv: CvConfig, rng, holdout) -> float:
     (len(val_idx), grid.size); every fold adds their mean square to one
     error per grid value.
     """
+    if not isinstance(cv, CvConfig):
+        raise InvalidParameterError(f"cv must be a CvConfig, got {cv!r}")
     if n < cv.folds:
         raise InsufficientDataError(f"{cv.folds}-fold CV needs at least {cv.folds} rows, got {n}")
     grid = np.unique(cv.grid)
@@ -242,7 +232,7 @@ def _select_lambda(n: int, cv: CvConfig, rng, holdout) -> float:
         return float(grid[0])
 
     errors = np.zeros(grid.size)
-    for val_idx in cv_folds(n, cv.folds, np.random.default_rng(rng)):
+    for val_idx in cv_folds(n, cv.folds, rng):
         errors += np.mean(holdout(val_idx, grid) ** 2, axis=0)
     # np.unique sorted the grid, so [-1] is the largest lambda among the least errors
     return float(grid[errors == errors.min()][-1])
@@ -286,48 +276,44 @@ def _seed_tuple(seed) -> tuple[int, ...]:
 
 def run_block_stream(
     blocks,
-    algorithms,
+    orders,
     test: Dataset,
-    cv: CvConfig | None = None,
+    cv: CvConfig = CvConfig(),
     seed=0,
     classification: bool = False,
     kernel_spec: KernelSpec | None = None,
 ) -> StreamReport:
-    """Feed blocks through every algorithm's running average.
+    """Feed blocks through the running average of every correction order.
 
-    For each block t: cross validation on that block (order 0 of the
-    shared family) picks one lambda, every listed algorithm is fitted on
-    the block with it, and each fit is evaluated once on the test set.
-    A kernel block's CV and fits share one kernel matrix and one eigh,
-    and its fits of every order share one test-set kernel matrix.
-    Each algorithm's predictions are summed over the blocks, and the
-    averaged predictor's test-set metrics at step t are those of
-    sum / t.  Algorithms must have distinct labels.
+    The base fits are ridge regression without a ``kernel_spec`` and the
+    kernel network of that kernel with one; ``orders`` lists distinct
+    correction orders, reported as rr / bcrr / bcrr-k or rkn / bcrkn /
+    bcrkn-k.  For each block t: cross validation on that block (order 0,
+    settings ``cv``) picks one lambda, every order is fitted on the block
+    with it, and each fit is evaluated once on the test set.  A kernel
+    block's CV and fits share one kernel matrix and one eigh, and its
+    fits of every order share one test-set kernel matrix.  Each order's
+    predictions are summed over the blocks, and the averaged predictor's
+    test-set metrics at step t are those of sum / t.
     Deterministic given ``seed``.
     """
     blocks = list(blocks)
     if not blocks:
         raise InsufficientDataError("need at least one block")
-    algorithms = [
-        a if isinstance(a, AlgorithmSpec) else AlgorithmSpec(**a) for a in algorithms
-    ]
-    if not algorithms:
-        raise InvalidParameterError("need at least one algorithm")
-    labels = [algorithm_label(a.family, a.order) for a in algorithms]
-    if len(set(labels)) != len(labels):
-        raise InvalidParameterError(f"each algorithm may appear once, got {labels}")
-    if len({a.family for a in algorithms}) > 1:
-        raise InvalidParameterError("all algorithms in one stream must share a family")
-    family = algorithms[0].family
-    if family == "kernel" and kernel_spec is None:
-        raise InvalidParameterError("kernel family requires a kernel_spec")
+    checked = tuple(map(_check_order, orders)) if np.iterable(orders) else ()
+    if not checked:
+        raise InvalidParameterError(
+            f"orders must be a nonempty sequence of integers, got {orders!r}"
+        )
+    if len(set(checked)) != len(checked):
+        raise InvalidParameterError(f"each order may appear once, got {list(checked)}")
+    labels = [algorithm_label("linear" if kernel_spec is None else "kernel", k) for k in checked]
     p = blocks[0].n_features
     for i, b in enumerate(blocks):
         if b.n_features != p:
             raise ShapeError(f"block {i + 1} has {b.n_features} columns, expected {p}")
     if test.n_features != p:
         raise ShapeError(f"test set has {test.n_features} columns, expected {p}")
-    cv = CvConfig() if cv is None else cv
     seed = _seed_tuple(seed)
 
     # label -> running sum of the block fits' test-set predictions
@@ -337,15 +323,15 @@ def run_block_stream(
         try:
             # entropy tag 1 keeps fold shuffling apart from data streams
             rng = np.random.default_rng((*seed, t, 1))
-            # lambda, and every algorithm's test-set predictions of its fit on this block
-            if family == "kernel":
+            # lambda, and every order's test-set predictions of its fit on this block
+            if kernel_spec is not None:
                 kernel = _KernelBlock(block, kernel_spec)
                 lam = _select_lambda(block.n_rows, cv, rng, kernel.holdout_residuals)
                 test_kernel = kernel.cross(test.features)
-                fresh = [test_kernel @ kernel.fit(lam, a.order).coeffs for a in algorithms]
+                fresh = [test_kernel @ kernel.fit(lam, k).coeffs for k in checked]
             else:
-                lam = select_lambda_cv(block, cv.grid, cv.folds, rng=rng)
-                fits = [fit_regularized(block, lam, a.order) for a in algorithms]
+                lam = select_lambda_cv(block, cv, rng)
+                fits = [fit_regularized(block, lam, k) for k in checked]
                 fresh = [predict_linear(fit, test.features) for fit in fits]
             mse: dict[str, float] = {}
             cls_err: dict[str, float] = {}

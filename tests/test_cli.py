@@ -173,7 +173,7 @@ class TestUsageErrors:
         for command in (["stream", "--model", "1"], ["kernel-stream"]):
             for blocks in ("0", "-1"):
                 assert main(command + ["--blocks", blocks, "--out", str(out)]) == 1
-                assert "error: blocks must be >= 1" in capsys.readouterr().err
+                assert "error: blocks must be an integer >= 1" in capsys.readouterr().err
                 assert not out.exists()
 
     def test_one_input_block_is_operation_error(self, spam_like, tmp_path, capsys):
@@ -182,16 +182,16 @@ class TestUsageErrors:
         for command in ("stream", "kernel-stream"):
             rc = main([command, "--input", spam_like, "--blocks", "1", "--out", str(out)])
             assert rc == 1
-            assert "error: with --input, blocks must be >= 2" in capsys.readouterr().err
+            assert "error: with --input, blocks must be an integer >= 2" in capsys.readouterr().err
             assert not out.exists()
 
     def test_stream_count_checks_raise_parameter_errors(self, spam_like):
         """--reps and --blocks out of range raise InvalidParameterError, not the base class."""
         cases = [
-            (["stream", "--model", "1", "--reps", "0"], "linear", "reps must be >= 1"),
-            (["kernel-stream", "--blocks", "0"], "kernel", "blocks must be >= 1"),
+            (["stream", "--model", "1", "--reps", "0"], "linear", "reps must be an integer >= 1"),
+            (["kernel-stream", "--blocks", "0"], "kernel", "blocks must be an integer >= 1"),
             (["stream", "--input", spam_like, "--blocks", "1"], "linear",
-             "with --input, blocks must be >= 2"),
+             "with --input, blocks must be an integer >= 2"),
         ]
         for argv, family, message in cases:
             with pytest.raises(InvalidParameterError, match=message):

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from bcreg import (
-    AlgorithmSpec,
     AveragedKernelModel,
     AveragedLinearModel,
     BcregError,
@@ -19,6 +18,7 @@ from bcreg import (
     LinearModel,
     ShapeError,
     SyntheticSpec,
+    algorithm_label,
     average_update,
     compute_metrics,
     cv_folds,
@@ -27,6 +27,7 @@ from bcreg import (
     fit_regularized,
     monte_carlo_bias_variance,
     noise_variance,
+    predict_averaged,
     run_block_stream,
     signal_variance,
     slice_into_chunks,
@@ -246,7 +247,7 @@ class TestComputeMetrics:
 
 def _stream_with_seed(seed):
     block = synth_block(SyntheticSpec("model1", n=20, seed=1))
-    return run_block_stream([block], [AlgorithmSpec("linear", 0)], block, seed=seed)
+    return run_block_stream([block], [0], block, seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -302,12 +303,19 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: AveragedKernelModel(models=()), InvalidParameterError),
         (lambda: AveragedKernelModel(models=(LinearModel([1.0], 0.0, 1.0, 0),)),
          InvalidStateError),
+        (lambda: AveragedKernelModel(models=None), InvalidParameterError),
+        (lambda: algorithm_label("ridge", 0), InvalidParameterError),
+        (lambda: algorithm_label("linear", -1), InvalidParameterError),
+        (lambda: algorithm_label("linear", 1.5), InvalidParameterError),
+        (lambda: predict_averaged(LinearModel([1.0], 0.0, 1.0, 0), [[1.0]]), InvalidStateError),
     ],
     ids=[
         "bandwidth-str", "offset-str", "spec-snr-none", "nonlinear-snr-str",
         "intercept-none", "sigma-none", "features-str", "averaged-nan", "averaged-2d",
         "grid-nan", "folds-float", "grid-empty", "grid-scalar", "grid-none",
-        "averaged-kernel-empty", "averaged-kernel-linear",
+        "averaged-kernel-empty", "averaged-kernel-linear", "averaged-kernel-none",
+        "label-family-unknown", "label-order-negative", "label-order-float",
+        "predict-averaged-linear-fit",
     ],
 )
 def test_bad_boundary_values_raise_bcreg_errors(call, error):

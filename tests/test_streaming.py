@@ -9,7 +9,6 @@ import bcreg.linear
 import bcreg.streaming
 from bcreg import (
     DEFAULT_LAMBDA_GRID,
-    AlgorithmSpec,
     CvConfig,
     Dataset,
     DegenerateDataError,
@@ -182,13 +181,13 @@ def count_factorizations(monkeypatch):
 class TestSelectLambdaCv:
     def test_singleton_grid(self):
         ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
-        assert select_lambda_cv(ds, [0.1], folds=3, rng=0) == 0.1
+        assert select_lambda_cv(ds, CvConfig([0.1], 3), rng=0) == 0.1
 
     def test_noiseless_line_prefers_tiny_lambda(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 1))
         ds = Dataset(features=x, targets=2.0 * x[:, 0])
-        picked = select_lambda_cv(ds, [1e-6, 1e3], folds=10, rng=7)
+        picked = select_lambda_cv(ds, CvConfig([1e-6, 1e3], 10), rng=7)
         assert picked == 1e-6
         # independent oracle: recompute both CV errors with the same partition
         errors = ridge_cv_oracle(ds, [1e-6, 1e3], 10, np.random.default_rng(7))
@@ -200,7 +199,7 @@ class TestSelectLambdaCv:
         y = x @ np.array([1.0, 0.0, -1.0]) + rng.normal(size=60)
         ds = Dataset(features=x, targets=y)
         grid = [1e-4, 1e-2, 1.0, 100.0]
-        picked = select_lambda_cv(ds, grid, folds=5, rng=11)
+        picked = select_lambda_cv(ds, CvConfig(grid, 5), rng=11)
         errors = ridge_cv_oracle(ds, grid, 5, np.random.default_rng(11))
         assert picked == largest_minimizer(grid, errors)
 
@@ -214,7 +213,7 @@ class TestSelectLambdaCv:
             y = x @ rng.normal(size=p) + rng.uniform(0.1, 3.0) * rng.normal(size=n)
             ds = Dataset(features=x, targets=y)
             folds, seed = int(rng.choice([5, 10])), int(rng.integers(1000))
-            picked = select_lambda_cv(ds, grid, folds=folds, rng=seed)
+            picked = select_lambda_cv(ds, CvConfig(grid, folds), rng=seed)
             errors = ridge_cv_oracle(ds, grid, folds, np.random.default_rng(seed))
             assert picked == largest_minimizer(grid, errors), (case, n, p)
 
@@ -224,11 +223,10 @@ class TestSelectLambdaCv:
         x = rng.normal(size=(40, 3))
         grid = [1e-3, 1e-1, 10.0]
         constant = Dataset(features=x, targets=np.full(40, 2.5))
-        assert select_lambda_cv(constant, grid, folds=5, rng=0) == 10.0
+        assert select_lambda_cv(constant, CvConfig(grid, 5), rng=0) == 10.0
         zero = Dataset(features=x, targets=np.zeros(40))
         spec = KernelSpec.gaussian(1.0)
-        picked = select_lambda_cv(zero, grid, folds=5, rng=0, family="kernel", kernel_spec=spec)
-        assert picked == 10.0
+        assert select_lambda_cv(zero, CvConfig(grid, 5), rng=0, kernel_spec=spec) == 10.0
 
     def test_unsorted_repeated_grid_picks_as_sorted_unique(self):
         rng = np.random.default_rng(64)
@@ -238,9 +236,9 @@ class TestSelectLambdaCv:
         spec = KernelSpec.gaussian(1.5)
         for targets in (y, np.full(60, 2.5)):
             ds = Dataset(features=x, targets=targets)
-            for kw in ({}, {"family": "kernel", "kernel_spec": spec}):
-                assert select_lambda_cv(ds, shuffled, folds=10, rng=5, **kw) == (
-                    select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=5, **kw)
+            for kernel_spec in (None, spec):
+                assert select_lambda_cv(ds, CvConfig(shuffled), 5, kernel_spec) == (
+                    select_lambda_cv(ds, CvConfig(DEFAULT_LAMBDA_GRID), 5, kernel_spec)
                 )
 
     def test_overflowing_moments_are_invalid_data(self):
@@ -248,33 +246,44 @@ class TestSelectLambdaCv:
         rng = np.random.default_rng(65)
         ds = Dataset(features=rng.normal(size=(40, 2)) * 1e160, targets=rng.normal(size=40))
         with pytest.raises(InvalidDataError, match="overflow"):
-            select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=5, rng=0)
+            select_lambda_cv(ds, CvConfig(folds=5), rng=0)
         with pytest.raises(InvalidDataError, match="overflow"):
             fit_regularized(ds, 1.0, 1)
 
     def test_insufficient_rows(self):
         ds = Dataset(features=np.zeros((5, 1)), targets=np.zeros(5))
         with pytest.raises(InsufficientDataError):
-            select_lambda_cv(ds, [0.1, 1.0], folds=10, rng=0)
+            select_lambda_cv(ds, CvConfig([0.1, 1.0], 10), rng=0)
 
     def test_empty_grid(self):
         ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
         with pytest.raises(InvalidParameterError):
-            select_lambda_cv(ds, [], folds=3, rng=0)
+            select_lambda_cv(ds, CvConfig([], 3), rng=0)
+        with pytest.raises(InvalidParameterError, match="CvConfig"):
+            select_lambda_cv(ds, [0.1, 1.0], rng=0)  # a bare grid, not a CvConfig
 
     def test_nonpositive_grid(self):
         ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
         for bad in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(InvalidParameterError):
-                select_lambda_cv(ds, [0.1, bad], folds=3, rng=0)
+                select_lambda_cv(ds, CvConfig([0.1, bad], 3), rng=0)
 
     def test_invalid_folds(self):
         ds = Dataset(features=np.arange(24.0).reshape(12, 2), targets=np.zeros(12))
         for bad in (2.5, 2.0, "3", None, 1, 0, -2):
             with pytest.raises(InvalidParameterError):
-                select_lambda_cv(ds, [0.1, 1.0], folds=bad, rng=0)
+                select_lambda_cv(ds, CvConfig([0.1, 1.0], bad), rng=0)
             with pytest.raises(InvalidParameterError):
                 cv_folds(10, bad, np.random.default_rng(0))
+
+    def test_fold_seed_is_an_int_or_a_generator(self):
+        """cv_folds takes an integer seed, as select_lambda_cv does: the folds of its Generator."""
+        for n, folds, seed in ((10, 3, 0), (57, 10, 1603)):
+            by_seed = cv_folds(n, folds, seed)
+            by_generator = cv_folds(n, folds, np.random.default_rng(seed))
+            assert len(by_seed) == folds
+            for a, b in zip(by_seed, by_generator):
+                np.testing.assert_array_equal(a, b)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
@@ -282,7 +291,7 @@ class TestSelectLambdaCv:
         y = x[:, 0] + rng.normal(size=40)
         ds = Dataset(features=x, targets=y)
         grid = list(np.logspace(-5, 1, 9))
-        picks = {select_lambda_cv(ds, grid, folds=8, rng=123) for _ in range(3)}
+        picks = {select_lambda_cv(ds, CvConfig(grid, 8), rng=123) for _ in range(3)}
         assert len(picks) == 1
 
     def test_kernel_family(self):
@@ -291,9 +300,7 @@ class TestSelectLambdaCv:
         y = np.sin(2 * x[:, 0]) + 0.05 * rng.normal(size=40)
         ds = Dataset(features=x, targets=y)
         spec = KernelSpec.gaussian(0.7)
-        picked = select_lambda_cv(
-            ds, [1e-6, 1e2], folds=5, rng=1, family="kernel", kernel_spec=spec
-        )
+        picked = select_lambda_cv(ds, CvConfig([1e-6, 1e2], 5), rng=1, kernel_spec=spec)
         assert picked == 1e-6  # near-noiseless smooth target prefers light shrinkage
 
     def test_kernel_family_matches_brute_force(self):
@@ -310,9 +317,7 @@ class TestSelectLambdaCv:
             else:
                 spec = KernelSpec.gaussian(rng.uniform(0.3, 2.0))
             folds, seed = int(rng.choice([5, 10])), int(rng.integers(1000))
-            picked = select_lambda_cv(
-                ds, grid, folds=folds, rng=seed, family="kernel", kernel_spec=spec
-            )
+            picked = select_lambda_cv(ds, CvConfig(grid, folds), rng=seed, kernel_spec=spec)
             errors = kernel_cv_oracle(ds, grid, folds, np.random.default_rng(seed), spec)
             assert picked == largest_minimizer(grid, errors), (case, spec)
 
@@ -321,7 +326,7 @@ class TestSelectLambdaCv:
         ds = Dataset(features=rng.normal(size=(30, 1)), targets=rng.normal(size=30))
         spec = KernelSpec.polynomial(3, offset=-5.0)
         with pytest.raises(DegenerateDataError, match="not positive semi-definite"):
-            select_lambda_cv(ds, [1e-6, 1.0], folds=5, rng=0, family="kernel", kernel_spec=spec)
+            select_lambda_cv(ds, CvConfig([1e-6, 1.0], 5), rng=0, kernel_spec=spec)
 
     def test_factorizations_per_call(self, monkeypatch):
         """Kernel CV: one eigh of the dataset's kernel matrix, none per fold.
@@ -331,11 +336,10 @@ class TestSelectLambdaCv:
         rng = np.random.default_rng(8)
         ds = Dataset(features=rng.normal(size=(50, 3)), targets=rng.normal(size=50))
         counts = count_factorizations(monkeypatch)
-        select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=0, family="kernel",
-                         kernel_spec=KernelSpec.gaussian(1.0))
+        select_lambda_cv(ds, CvConfig(), rng=0, kernel_spec=KernelSpec.gaussian(1.0))
         assert counts == {"eigh": 1, "cho_factor": 0}
         counts.update(eigh=0, cho_factor=0)
-        select_lambda_cv(ds, DEFAULT_LAMBDA_GRID, folds=10, rng=0)
+        select_lambda_cv(ds, CvConfig(), rng=0)
         assert counts == {"eigh": 0, "cho_factor": 250}
 
     def test_one_filter_per_training_size(self, monkeypatch):
@@ -353,15 +357,9 @@ class TestSelectLambdaCv:
         for n, folds in ((50, 10), (23, 4), (31, 10)):
             ds = Dataset(features=rng.normal(size=(n, 2)), targets=rng.normal(size=n))
             calls.clear()
-            select_lambda_cv(ds, grid, folds=folds, rng=0, family="kernel",
-                             kernel_spec=KernelSpec.gaussian(1.0))
+            select_lambda_cv(ds, CvConfig(grid, folds), 0, KernelSpec.gaussian(1.0))
             sizes = sorted({n - len(v) for v in cv_folds(n, folds, np.random.default_rng(0))})
             assert sorted(round(c[0] / grid[0]) for c in calls) == sizes, (n, folds)
-
-    def test_kernel_family_requires_spec(self):
-        ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
-        with pytest.raises(InvalidParameterError):
-            select_lambda_cv(ds, [0.1], folds=3, rng=0, family="kernel")
 
 
 def small_blocks(seed, count=3, n=60):
@@ -376,9 +374,7 @@ class TestRunBlockStream:
     def test_single_block_matches_single_fit(self):
         blocks = small_blocks(9, count=1)
         test = synth_block(SyntheticSpec("model1", n=150, seed=9), rng=42)
-        report = run_block_stream(
-            blocks, [AlgorithmSpec("linear", 0), AlgorithmSpec("linear", 1)], test, seed=3
-        )
+        report = run_block_stream(blocks, [0, 1], test, seed=3)
         assert len(report.per_step) == 1
         step = report.per_step[0]
         for order, label in ((0, "rr"), (1, "bcrr")):
@@ -389,9 +385,8 @@ class TestRunBlockStream:
     def test_deterministic_given_seed(self):
         blocks = small_blocks(10)
         test = synth_block(SyntheticSpec("model1", n=100, seed=10), rng=1)
-        algos = [{"family": "linear", "order": 0}, {"family": "linear", "order": 1}]
-        r1 = run_block_stream(blocks, algos, test, seed=77)
-        r2 = run_block_stream(blocks, algos, test, seed=77)
+        r1 = run_block_stream(blocks, [0, 1], test, seed=77)
+        r2 = run_block_stream(blocks, [0, 1], test, seed=77)
         assert r1 == r2
 
     def test_error_annotated_with_block_index(self):
@@ -400,29 +395,38 @@ class TestRunBlockStream:
         with pytest.raises(InsufficientDataError, match="block 1"):
             run_block_stream(
                 blocks,
-                [AlgorithmSpec("linear", 0)],
+                [0],
                 test,
                 cv=CvConfig(grid=(0.1,), folds=61),  # more folds than rows fails inside block 1
                 seed=0,
             )
 
-    def test_mixed_families_rejected(self):
-        blocks = small_blocks(12, count=1)
+    def test_kernel_spec_picks_the_kernel_network(self):
+        """Given a kernel_spec, CV and the stream fit kernel networks, never ridge."""
+        block = small_blocks(12, count=1)[0]
         test = synth_block(SyntheticSpec("model1", n=50, seed=12), rng=3)
-        with pytest.raises(InvalidParameterError):
-            run_block_stream(
-                blocks,
-                [AlgorithmSpec("linear", 0), AlgorithmSpec("kernel", 0)],
-                test,
-                seed=0,
-                kernel_spec=KernelSpec.gaussian(1.0),
-            )
+        spec, cv = KernelSpec.gaussian(0.3), CvConfig(folds=5)
+        kernel_pick = largest_minimizer(
+            cv.grid, kernel_cv_oracle(block, cv.grid, 5, np.random.default_rng(4), spec)
+        )
+        assert select_lambda_cv(block, cv, 4, kernel_spec=spec) == kernel_pick
+        assert select_lambda_cv(block, cv, 4) != kernel_pick  # ridge picks another lambda
+
+        report = run_block_stream([block], [0, 1], test, cv=cv, seed=0, kernel_spec=spec)
+        step = report.per_step[0]
+        # block 1 of seed 0 shuffles its folds with default_rng((0, 1, 1))
+        assert step.lam == select_lambda_cv(block, cv, (0, 1, 1), kernel_spec=spec)
+        assert set(step.mse) == {"rkn", "bcrkn"}
+        for order, label in ((0, "rkn"), (1, "bcrkn")):
+            fit = fit_kernel_regularized(block, spec, step.lam, order)
+            expected = compute_metrics(predict_kernel(fit, test.features), test.targets)
+            assert step.mse[label] == pytest.approx(expected.mse, rel=1e-12)
 
     def test_column_mismatch_rejected(self):
         blocks = small_blocks(13, count=1)
         bad_test = Dataset(features=np.zeros((5, 3)), targets=np.zeros(5))
         with pytest.raises(ShapeError):
-            run_block_stream(blocks, [AlgorithmSpec("linear", 0)], bad_test, seed=0)
+            run_block_stream(blocks, [0], bad_test, seed=0)
 
     def test_kernel_stream_runs_at_order_2(self):
         rng = np.random.default_rng(14)
@@ -432,18 +436,13 @@ class TestRunBlockStream:
         ]
         test = Dataset(features=rng.uniform(-2, 2, (40, 1)), targets=rng.normal(size=40))
         spec = KernelSpec.gaussian(1.0)
-        report = run_block_stream(
-            blocks,
-            [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1), AlgorithmSpec("kernel", 2)],
-            test,
-            cv=CvConfig(grid=(0.01, 1.0), folds=5),
-            seed=5,
-            kernel_spec=spec,
-        )
+        cv = CvConfig(grid=(0.01, 1.0), folds=5)
+        report = run_block_stream(blocks, [0, 1, 2], test, cv=cv, seed=5, kernel_spec=spec)
         assert len(report.per_step) == 2
         assert set(report.per_step[0].mse) == {"rkn", "bcrkn", "bcrkn-2"}
-        with pytest.raises(InvalidParameterError):
-            AlgorithmSpec("kernel", -1)
+        for bad in ([-1], [0.5], None):
+            with pytest.raises(InvalidParameterError):
+                run_block_stream(blocks, bad, test, cv=cv, seed=5, kernel_spec=spec)
 
     def test_classification_metrics_present(self):
         rng = np.random.default_rng(15)
@@ -457,7 +456,7 @@ class TestRunBlockStream:
         test = Dataset(features=test_x, targets=np.where(test_x[:, 0] > 0, 1.0, -1.0))
         report = run_block_stream(
             blocks,
-            [AlgorithmSpec("linear", 0)],
+            [0],
             test,
             cv=CvConfig(grid=(0.1, 1.0), folds=4),
             seed=8,
@@ -485,8 +484,7 @@ class TestKernelRunningSum:
     def test_matches_averaged_model_exactly(self):
         blocks, test = kernel_stream_inputs(16, 6)
         report = run_block_stream(
-            blocks, [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)], test,
-            cv=self.CV, seed=4, kernel_spec=self.SPEC,
+            blocks, [0, 1], test, cv=self.CV, seed=4, kernel_spec=self.SPEC
         )
         for order, label in ((0, "rkn"), (1, "bcrkn")):
             avg = None
@@ -513,10 +511,10 @@ class TestKernelRunningSum:
 
         monkeypatch.setattr(bcreg.kernels, "kernel_matrix", counting)
         blocks, test = kernel_stream_inputs(17, 7)
-        algos = [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)]
-        run_block_stream(blocks, algos, test, cv=self.CV, seed=2, kernel_spec=self.SPEC)
+        orders = [0, 1]
+        run_block_stream(blocks, orders, test, cv=self.CV, seed=2, kernel_spec=self.SPEC)
         assert matrices.count((40, 25)) == len(blocks)
-        assert products == [(25,)] * (len(blocks) * len(algos))
+        assert products == [(25,)] * (len(blocks) * len(orders))
 
     def test_one_decomposition_per_block(self, monkeypatch):
         """A block's CV and fits share one kernel matrix and one eigh; its predictions, one more."""
@@ -530,8 +528,7 @@ class TestKernelRunningSum:
 
         monkeypatch.setattr(bcreg.kernels, "kernel_matrix", counting)
         blocks, test = kernel_stream_inputs(21, 5)
-        algos = [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 1)]
-        run_block_stream(blocks, algos, test, cv=self.CV, seed=3, kernel_spec=self.SPEC)
+        run_block_stream(blocks, [0, 1], test, cv=self.CV, seed=3, kernel_spec=self.SPEC)
         assert counts == {"eigh": len(blocks), "cho_factor": 0}
         # one per block for CV and the fits, and one per block for every fit's predictions
         assert matrices.count((25, 25)) == len(blocks)
@@ -541,31 +538,28 @@ class TestKernelRunningSum:
     def test_duplicate_algorithms_rejected(self):
         blocks, test = kernel_stream_inputs(18, 2)
         with pytest.raises(InvalidParameterError, match="once"):
-            run_block_stream(
-                blocks, [AlgorithmSpec("kernel", 0), AlgorithmSpec("kernel", 0)], test,
-                cv=self.CV, seed=0, kernel_spec=self.SPEC,
-            )
+            run_block_stream(blocks, [0, 0], test, cv=self.CV, seed=0, kernel_spec=self.SPEC)
         lin_blocks = small_blocks(18, count=1)
         with pytest.raises(InvalidParameterError, match="once"):
             run_block_stream(
-                lin_blocks, [{"family": "linear", "order": 2}] * 2,
-                synth_block(SyntheticSpec("model1", n=50, seed=18), rng=4), seed=0,
+                lin_blocks, [2, 2], synth_block(SyntheticSpec("model1", n=50, seed=18), rng=4),
+                seed=0,
             )
 
 
 class TestLinearRunningSum:
-    ALGOS = [AlgorithmSpec("linear", 0), AlgorithmSpec("linear", 1), AlgorithmSpec("linear", 2)]
+    ORDERS = [0, 1, 2]
     CV = CvConfig(grid=(1e-3, 0.1, 1.0), folds=5)
 
     def test_matches_averaged_model(self):
         blocks = small_blocks(19, count=6)
         test = synth_block(SyntheticSpec("model1", n=120, seed=19), rng=5)
-        report = run_block_stream(blocks, self.ALGOS, test, cv=self.CV, seed=6)
-        for algo in self.ALGOS:
-            label = algorithm_label("linear", algo.order)
+        report = run_block_stream(blocks, self.ORDERS, test, cv=self.CV, seed=6)
+        for order in self.ORDERS:
+            label = algorithm_label("linear", order)
             avg = None
             for t, (block, step) in enumerate(zip(blocks, report.per_step), start=1):
-                avg = average_update(avg, fit_regularized(block, step.lam, algo.order), t)
+                avg = average_update(avg, fit_regularized(block, step.lam, order), t)
                 expected = compute_metrics(predict_averaged(avg, test.features), test.targets)
                 if t == 1:
                     assert step.mse[label] == expected.mse
@@ -583,5 +577,5 @@ class TestLinearRunningSum:
         monkeypatch.setattr(bcreg.streaming, "predict_linear", counting)
         blocks = small_blocks(20, count=5)
         test = synth_block(SyntheticSpec("model1", n=80, seed=20), rng=6)
-        run_block_stream(blocks, self.ALGOS, test, cv=self.CV, seed=1)
-        assert len(calls) == len(blocks) * len(self.ALGOS)
+        run_block_stream(blocks, self.ORDERS, test, cv=self.CV, seed=1)
+        assert len(calls) == len(blocks) * len(self.ORDERS)
