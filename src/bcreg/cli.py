@@ -31,6 +31,7 @@ from .errors import (
     CsvFormatError,
     CsvParseError,
     InsufficientDataError,
+    ShapeError,
 )
 from .experiments import (
     SyntheticSpec,
@@ -40,8 +41,8 @@ from .experiments import (
     synth_nonlinear_block,
 )
 from .kernels import KernelSpec, fit_kernel_regularized, median_bandwidth
-from .linear import Dataset, _check_float, _check_int, fit_regularized
-from .streaming import DEFAULT_LAMBDA_GRID, CvConfig, algorithm_label, run_block_stream
+from .linear import Dataset, _check_float, _check_int, _check_order, fit_regularized
+from .streaming import DEFAULT_LAMBDA_GRID, CvConfig, _check_orders, run_block_stream
 
 __all__ = ["parse_csv_dataset", "write_csv_dataset", "build_parser", "main", "entry"]
 
@@ -99,6 +100,8 @@ def write_csv_dataset(dataset: Dataset, path, header=None) -> None:
     """Write a dataset as CSV with 17 significant digits (exact round trip)."""
     p = dataset.n_features
     names = list(header) if header is not None else [f"x{i + 1}" for i in range(p)] + ["y"]
+    if len(names) != p + 1:
+        raise ShapeError(f"header has {len(names)} names, expected {p + 1} (features plus target)")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
@@ -108,23 +111,20 @@ def write_csv_dataset(dataset: Dataset, path, header=None) -> None:
             writer.writerow(row)
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return value
+def _usage(check, parse=int):
+    """An argparse type ``check(parse(text))``; a bad literal or value is a usage error (exit 2)."""
+
+    def convert(text: str):
+        try:
+            return check(parse(text))
+        except ValueError as exc:  # a bad literal, or the check's InvalidParameterError
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _order_list(text: str) -> list[int]:
-    try:
-        orders = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse orders {text!r}")
-    if not orders or any(o < 0 for o in orders):
-        raise argparse.ArgumentTypeError("orders must be nonnegative integers")
-    if len(set(orders)) != len(orders):
-        raise argparse.ArgumentTypeError(f"orders must not repeat, got {text!r}")
-    return orders
+_seed_arg = _usage(functools.partial(_check_int, name="seed", low=0))
+_orders_arg = _usage(_check_orders, lambda text: [int(t) for t in text.split(",") if t.strip()])
 
 
 def _float_list(text: str) -> list[float]:
@@ -175,7 +175,7 @@ def _add_stream_args(sub, blocks: int, block_size: int) -> None:
     sub.add_argument("--block-size", type=int, default=block_size,
                      help="rows per synthetic block")
     sub.add_argument("--test-size", type=int, default=1000, help="synthetic test rows")
-    sub.add_argument("--orders", type=_order_list, default=[0, 1],
+    sub.add_argument("--orders", type=_orders_arg, default=[0, 1],
                      help="comma-separated correction orders to compare")
     sub.add_argument("--reps", type=int, default=1, help="repetitions to average over")
     sub.add_argument("--folds", type=int, default=10, help="CV folds per block")
@@ -184,7 +184,7 @@ def _add_stream_args(sub, blocks: int, block_size: int) -> None:
     sub.add_argument("--snr", type=float, default=10.0)
     sub.add_argument("--classification", action="store_true",
                      help="also report sign-agreement error (targets must be +-1)")
-    sub.add_argument("--seed", type=_nonneg_int, default=0)
+    sub.add_argument("--seed", type=_seed_arg, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--input", required=True, help="CSV dataset path")
     p_fit.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="regularization strength")
-    p_fit.add_argument("--order", type=_nonneg_int, default=0,
+    p_fit.add_argument("--order", type=_usage(_check_order), default=0,
                        help="bias-correction order (0 = plain ridge)")
     p_fit.add_argument("--family", choices=["linear", "kernel"], default="linear")
     _add_kernel_args(p_fit)
@@ -210,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bv.add_argument("--model", type=int, choices=[1, 2], required=True)
     p_bv.add_argument("--lambda", dest="lam", type=_float_list, required=True,
                       help="one value or a comma-separated sweep")
-    p_bv.add_argument("--order", type=_nonneg_int, default=0)
+    p_bv.add_argument("--order", type=_usage(_check_order), default=0)
     p_bv.add_argument("--n", type=int, default=100, help="rows per dataset")
     p_bv.add_argument("--reps", type=int, default=1000, help="Monte-Carlo repetitions")
     p_bv.add_argument("--snr", type=float, default=10.0)
-    p_bv.add_argument("--seed", type=_nonneg_int, default=0)
+    p_bv.add_argument("--seed", type=_seed_arg, default=0)
     _add_output_args(p_bv)
 
     p_st = sub.add_parser("stream", help="block-streaming comparison, linear family")
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch = sub.add_parser("chunks", help="slice a CSV dataset into equal-size chunks")
     p_ch.add_argument("--input", required=True)
     p_ch.add_argument("--m", type=int, default=20, help="number of chunks")
-    p_ch.add_argument("--seed", type=_nonneg_int, default=0)
+    p_ch.add_argument("--seed", type=_seed_arg, default=0)
     p_ch.add_argument("--out-dir", required=True, help="directory for chunk files")
     _add_output_args(p_ch)
 
@@ -346,7 +346,6 @@ def _run_stream_command(args, family: str):
     if args.input:  # one chunk is the test set
         _check_int(args.blocks, "with --input, blocks", 2)
     cv = CvConfig(DEFAULT_LAMBDA_GRID if args.grid is None else args.grid, args.folds)
-    labels = [algorithm_label(family, o) for o in args.orders]
     full = parse_csv_dataset(args.input) if args.input else None
 
     reports = []
@@ -365,12 +364,12 @@ def _run_stream_command(args, family: str):
     if args.classification:
         metrics["classification_error"] = "ce"
     results = {
-        "t": list(range(1, len(reports[0].per_step) + 1)),
+        "t": list(range(1, len(reports[0].lambdas) + 1)),
         "lambda_mean": _rep_mean(r.lambdas for r in reports),
     }
     for metric in metrics:
-        per_rep = [r.series(metric) for r in reports]
-        results[metric] = {label: _rep_mean(s[label] for s in per_rep) for label in labels}
+        per_rep = [getattr(r, metric) for r in reports]
+        results[metric] = {label: _rep_mean(s[label] for s in per_rep) for label in per_rep[0]}
 
     config = {
         "command": args.command,
@@ -399,8 +398,8 @@ def _run_stream_command(args, family: str):
     for i, t in enumerate(results["t"]):
         row = {"t": t, "lambda_mean": results["lambda_mean"][i]}
         for metric, prefix in metrics.items():
-            for label in labels:
-                row[f"{prefix}_{label}"] = results[metric][label][i]
+            for label, series in results[metric].items():
+                row[f"{prefix}_{label}"] = series[i]
         rows.append(row)
     payload = {"config": config, "seed": args.seed, "results": results}
     return payload, rows

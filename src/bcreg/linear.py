@@ -130,6 +130,14 @@ class CenteredStats:
     cov: np.ndarray  # (p, p), symmetric PSD
     cross: np.ndarray  # (p,), (1/n) Xc' yc
 
+    def __post_init__(self):
+        for name, ndim in (("x_mean", 1), ("cov", 2), ("cross", 1)):
+            object.__setattr__(self, name, _finite_array(getattr(self, name), ndim, name))
+        object.__setattr__(self, "y_mean", _check_float(self.y_mean, "y_mean"))
+        p = self.x_mean.shape[0]
+        if self.cov.shape != (p, p) or self.cross.shape != (p,):
+            raise ShapeError(f"cov must be ({p}, {p}) and cross ({p},) for {p} feature means")
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -195,11 +203,7 @@ def center(dataset: Dataset) -> CenteredStats:
     sample covariance and the cross moment (1/n) Xc' yc of the centered
     data.
     """
-    x_mean, y_mean, cov, cross = _centered_arrays(dataset.features, dataset.targets)
-    return CenteredStats(
-        x_mean=_finite_array(x_mean, 1, "x_mean"), y_mean=y_mean,
-        cov=_finite_array(cov, 2, "cov"), cross=_finite_array(cross, 1, "cross"),
-    )
+    return CenteredStats(*_centered_arrays(dataset.features, dataset.targets))
 
 
 def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.ndarray:

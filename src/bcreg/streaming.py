@@ -15,7 +15,8 @@ on every incoming block and shared by all competing correction orders
 on that block.  Each setting is stated once: a ``kernel_spec`` picks the
 kernel network (none means ridge regression), a ``CvConfig`` carries the
 lambda grid and fold count, checked when it is built, and a stream
-compares a list of correction orders.
+compares a list of correction orders, checked by ``_check_orders``, and
+reports one test-error series per order (a ``StreamReport``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "AveragedLinearModel",
     "AveragedKernelModel",
     "CvConfig",
-    "StepMetrics",
     "StreamReport",
     "algorithm_label",
     "average_update",
@@ -180,12 +180,27 @@ class CvConfig:
 
 
 def cv_folds(n: int, folds: int, rng) -> list[np.ndarray]:
-    """Seeded random partition of range(n) into near-equal index sets.
+    """Seeded random partition of range(n) into ``folds`` near-equal, nonempty index sets.
 
     ``rng`` may be an integer seed or a Generator, which is used as is.
+    Fewer rows than folds raises InsufficientDataError.
     """
-    perm = np.random.default_rng(rng).permutation(_check_int(n, "n", 1))
-    return [np.sort(part) for part in np.array_split(perm, _check_int(folds, "folds", 2))]
+    n, folds = _check_int(n, "n", 1), _check_int(folds, "folds", 2)
+    if n < folds:
+        raise InsufficientDataError(f"{folds}-fold CV needs at least {folds} rows, got {n}")
+    perm = np.random.default_rng(rng).permutation(n)
+    return [np.sort(part) for part in np.array_split(perm, folds)]
+
+
+def _check_inputs(datasets, cv, kernel_spec) -> None:
+    """The argument types of ``select_lambda_cv`` and ``run_block_stream``, checked at the call."""
+    for d in datasets:
+        if not isinstance(d, Dataset):
+            raise InvalidParameterError(f"expected a Dataset, got {type(d).__name__}")
+    if not isinstance(cv, CvConfig):
+        raise InvalidParameterError(f"cv must be a CvConfig, got {cv!r}")
+    if not isinstance(kernel_spec, (KernelSpec, type(None))):
+        raise InvalidParameterError(f"kernel_spec must be a KernelSpec or None: {kernel_spec!r}")
 
 
 def select_lambda_cv(
@@ -208,6 +223,7 @@ def select_lambda_cv(
     at lambda n_train follow from that one decomposition in closed form.
     A kernel that is not positive semi-definite raises DegenerateDataError.
     """
+    _check_inputs([dataset], cv, kernel_spec)
     if kernel_spec is None:
         holdout = partial(_holdout_residuals, dataset)
     else:
@@ -218,55 +234,47 @@ def select_lambda_cv(
 def _select_lambda(n: int, cv: CvConfig, rng, holdout) -> float:
     """The CV loop of ``select_lambda_cv`` over n rows, whatever the family.
 
-    ``cv`` was checked when it was built.  ``holdout(val_idx, grid)``
-    returns the validation residuals of the fits on the other rows, shape
+    ``cv`` was checked at the call.  ``holdout(val_idx, grid)`` returns the
+    validation residuals of the fits on the other rows, shape
     (len(val_idx), grid.size); every fold adds their mean square to one
-    error per grid value.
+    error per grid value.  The folds are drawn first, so a fold count
+    above n raises even for a one-value grid.
     """
-    if not isinstance(cv, CvConfig):
-        raise InvalidParameterError(f"cv must be a CvConfig, got {cv!r}")
-    if n < cv.folds:
-        raise InsufficientDataError(f"{cv.folds}-fold CV needs at least {cv.folds} rows, got {n}")
+    folds = cv_folds(n, cv.folds, rng)
     grid = np.unique(cv.grid)
     if grid.size == 1:
         return float(grid[0])
 
     errors = np.zeros(grid.size)
-    for val_idx in cv_folds(n, cv.folds, rng):
+    for val_idx in folds:
         errors += np.mean(holdout(val_idx, grid) ** 2, axis=0)
     # np.unique sorted the grid, so [-1] is the largest lambda among the least errors
     return float(grid[errors == errors.min()][-1])
 
 
 @dataclass(frozen=True)
-class StepMetrics:
-    """Test-set metrics of every averaged model after one block."""
-
-    t: int
-    lam: float
-    mse: dict[str, float]
-    classification_error: dict[str, float] | None = None
-
-
-@dataclass(frozen=True)
 class StreamReport:
-    """Per-step metric trajectories for one streaming run."""
+    """One streaming run as series: entry t - 1 of every list is step t.
 
-    per_step: tuple[StepMetrics, ...]
-    seed: tuple[int, ...]
+    ``lambdas`` holds the lambda CV picked on each block.  ``mse`` and
+    ``classification_error`` map each algorithm label, in the order of the
+    stream's ``orders``, to the averaged predictor's test-set series;
+    ``classification_error`` is None unless the stream was asked for it.
+    """
 
-    def series(self, metric: str = "mse") -> dict[str, list[float]]:
-        """Pivot per-step entries into one list per algorithm label."""
-        out: dict[str, list[float]] = {}
-        for step in self.per_step:
-            values = getattr(step, metric)
-            for label, v in values.items():
-                out.setdefault(label, []).append(v)
-        return out
+    lambdas: list[float]
+    mse: dict[str, list[float]]
+    classification_error: dict[str, list[float]] | None = None
 
-    @property
-    def lambdas(self) -> list[float]:
-        return [step.lam for step in self.per_step]
+
+def _check_orders(orders) -> tuple[int, ...]:
+    """A stream's correction orders: a nonempty sequence of distinct integers >= 0."""
+    checked = tuple(map(_check_order, orders)) if np.iterable(orders) else ()
+    if not checked:
+        raise InvalidParameterError(f"orders must be a nonempty list of integers, got {orders!r}")
+    if len(set(checked)) != len(checked):
+        raise InvalidParameterError(f"orders must not repeat: each may appear once, got {orders!r}")
+    return checked
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -294,20 +302,15 @@ def run_block_stream(
     block's CV and fits share one kernel matrix and one eigh, and its
     fits of every order share one test-set kernel matrix.  Each order's
     predictions are summed over the blocks, and the averaged predictor's
-    test-set metrics at step t are those of sum / t.
-    Deterministic given ``seed``.
+    test-set metrics at step t are those of sum / t.  Returns one series
+    per algorithm label (a ``StreamReport``).  Deterministic given ``seed``.
     """
     blocks = list(blocks)
     if not blocks:
         raise InsufficientDataError("need at least one block")
-    checked = tuple(map(_check_order, orders)) if np.iterable(orders) else ()
-    if not checked:
-        raise InvalidParameterError(
-            f"orders must be a nonempty sequence of integers, got {orders!r}"
-        )
-    if len(set(checked)) != len(checked):
-        raise InvalidParameterError(f"each order may appear once, got {list(checked)}")
-    labels = [algorithm_label("linear" if kernel_spec is None else "kernel", k) for k in checked]
+    orders = _check_orders(orders)
+    _check_inputs([*blocks, test], cv, kernel_spec)
+    labels = [algorithm_label("linear" if kernel_spec is None else "kernel", k) for k in orders]
     p = blocks[0].n_features
     for i, b in enumerate(blocks):
         if b.n_features != p:
@@ -318,7 +321,9 @@ def run_block_stream(
 
     # label -> running sum of the block fits' test-set predictions
     sums = dict.fromkeys(labels, 0.0)
-    per_step: list[StepMetrics] = []
+    lambdas: list[float] = []
+    mse: dict[str, list[float]] = {label: [] for label in labels}
+    cls_err = {label: [] for label in labels} if classification else None
     for t, block in enumerate(blocks, start=1):
         try:
             # entropy tag 1 keeps fold shuffling apart from data streams
@@ -328,29 +333,20 @@ def run_block_stream(
                 kernel = _KernelBlock(block, kernel_spec)
                 lam = _select_lambda(block.n_rows, cv, rng, kernel.holdout_residuals)
                 test_kernel = kernel.cross(test.features)
-                fresh = [test_kernel @ kernel.fit(lam, k).coeffs for k in checked]
+                fresh = [test_kernel @ kernel.fit(lam, k).coeffs for k in orders]
             else:
                 lam = select_lambda_cv(block, cv, rng)
-                fits = [fit_regularized(block, lam, k) for k in checked]
+                fits = [fit_regularized(block, lam, k) for k in orders]
                 fresh = [predict_linear(fit, test.features) for fit in fits]
-            mse: dict[str, float] = {}
-            cls_err: dict[str, float] = {}
+            lambdas.append(lam)
             for label, predictions in zip(labels, fresh):
                 sums[label] = sums[label] + predictions
                 metrics: Metrics = compute_metrics(sums[label] / t, test.targets, classification)
-                mse[label] = metrics.mse
+                mse[label].append(metrics.mse)
                 if classification:
-                    cls_err[label] = metrics.classification_error
+                    cls_err[label].append(metrics.classification_error)
         except Exception as exc:
             exc.args = (f"block {t}: {exc}",) + exc.args[1:]
             raise
-        per_step.append(
-            StepMetrics(
-                t=t,
-                lam=lam,
-                mse=mse,
-                classification_error=cls_err if classification else None,
-            )
-        )
 
-    return StreamReport(per_step=tuple(per_step), seed=seed)
+    return StreamReport(lambdas=lambdas, mse=mse, classification_error=cls_err)

@@ -15,6 +15,7 @@ from bcreg import (
     Dataset,
     InsufficientDataError,
     InvalidParameterError,
+    ShapeError,
     fit_regularized,
 )
 from bcreg.cli import _parser, _run_stream_command, main, parse_csv_dataset, write_csv_dataset
@@ -90,6 +91,15 @@ class TestParseCsvDataset:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.targets, ds.targets)
 
+    def test_header_must_name_every_column(self, tmp_path):
+        """A header without one name per feature plus the target is refused, not written."""
+        ds = Dataset(features=np.zeros((2, 1)), targets=np.zeros(2))
+        for header in (["x"], ["a", "b", "y"]):
+            path = tmp_path / "h.csv"
+            with pytest.raises(ShapeError, match="expected 2"):
+                write_csv_dataset(ds, path, header=header)
+            assert not path.exists()
+
 
 @pytest.fixture
 def spam_like(tmp_path):
@@ -160,6 +170,27 @@ class TestUsageErrors:
     def test_negative_seed_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["bias-variance", "--model", "1", "--lambda", "0.1", "--seed", "-3"])
+
+    def test_bad_seed_and_order_are_usage_errors(self, tmp_path, capsys):
+        """--seed, --order and --orders go through the library's checks; a failure exits 2."""
+        bv = ["bias-variance", "--model", "1", "--lambda", "0.1"]
+        cases = [
+            (["stream", "--model", "1", "--seed", "-1"], "seed must be an integer >= 0"),
+            (["chunks", "--input", "x.csv", "--out-dir", str(tmp_path), "--seed", "-2"],
+             "seed must be an integer >= 0"),
+            (bv + ["--seed", "1.5"], "invalid literal"),
+            (bv + ["--order", "-1"], "order must be an integer >= 0"),
+            (["fit", "--input", "x.csv", "--lambda", "1", "--order", "-1"],
+             "order must be an integer >= 0"),
+            (["stream", "--model", "1", "--orders", "0,-1"], "order must be an integer >= 0"),
+            (["kernel-stream", "--orders", ","], "nonempty"),
+            (["kernel-stream", "--orders", "0,x"], "invalid literal"),
+        ]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err, argv
 
     def test_repeated_orders_rejected(self, capsys):
         for command in (["stream", "--model", "1"], ["kernel-stream"]):

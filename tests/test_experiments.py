@@ -8,6 +8,7 @@ from bcreg import (
     AveragedKernelModel,
     AveragedLinearModel,
     BcregError,
+    CenteredStats,
     CvConfig,
     Dataset,
     InsufficientDataError,
@@ -29,6 +30,7 @@ from bcreg import (
     noise_variance,
     predict_averaged,
     run_block_stream,
+    select_lambda_cv,
     signal_variance,
     slice_into_chunks,
     spectrum_profile,
@@ -245,9 +247,12 @@ class TestComputeMetrics:
         assert compute_metrics(np.zeros(2), np.array([0.5, 2.0])).mse == 2.125
 
 
+def _block():
+    return synth_block(SyntheticSpec("model1", n=20, seed=1))
+
+
 def _stream_with_seed(seed):
-    block = synth_block(SyntheticSpec("model1", n=20, seed=1))
-    return run_block_stream([block], [0], block, seed=seed)
+    return run_block_stream([_block()], [0], _block(), seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -308,6 +313,17 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: algorithm_label("linear", -1), InvalidParameterError),
         (lambda: algorithm_label("linear", 1.5), InvalidParameterError),
         (lambda: predict_averaged(LinearModel([1.0], 0.0, 1.0, 0), [[1.0]]), InvalidStateError),
+        (lambda: run_block_stream([_block()], [0], _block().features), InvalidParameterError),
+        (lambda: run_block_stream([_block().features], [0], _block()), InvalidParameterError),
+        (lambda: run_block_stream([_block()], [0], _block(), kernel_spec="gaussian"),
+         InvalidParameterError),
+        (lambda: select_lambda_cv(_block().features), InvalidParameterError),
+        (lambda: select_lambda_cv(_block(), kernel_spec="gaussian"), InvalidParameterError),
+        (lambda: cv_folds(3, 5, 0), InsufficientDataError),
+        (lambda: CenteredStats([np.nan], 0.0, [[1.0]], [0.0]), InvalidDataError),
+        (lambda: CenteredStats([0.0], "a", [[1.0]], [0.0]), InvalidParameterError),
+        (lambda: CenteredStats([0.0], 0.0, [[1.0, 2.0]], [0.0]), ShapeError),
+        (lambda: CenteredStats([0.0], 0.0, [[1.0]], None), ShapeError),
     ],
     ids=[
         "bandwidth-str", "offset-str", "spec-snr-none", "nonlinear-snr-str",
@@ -315,7 +331,9 @@ def test_non_integer_counts_are_parameter_errors(call):
         "grid-nan", "folds-float", "grid-empty", "grid-scalar", "grid-none",
         "averaged-kernel-empty", "averaged-kernel-linear", "averaged-kernel-none",
         "label-family-unknown", "label-order-negative", "label-order-float",
-        "predict-averaged-linear-fit",
+        "predict-averaged-linear-fit", "stream-test-array", "stream-block-array",
+        "stream-kernel-str", "cv-dataset-array", "cv-kernel-str", "folds-above-rows",
+        "centered-nan", "centered-y-mean-str", "centered-cov-shape", "centered-cross-none",
     ],
 )
 def test_bad_boundary_values_raise_bcreg_errors(call, error):

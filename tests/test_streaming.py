@@ -254,6 +254,8 @@ class TestSelectLambdaCv:
         ds = Dataset(features=np.zeros((5, 1)), targets=np.zeros(5))
         with pytest.raises(InsufficientDataError):
             select_lambda_cv(ds, CvConfig([0.1, 1.0], 10), rng=0)
+        with pytest.raises(InsufficientDataError, match="5-fold CV needs at least 5 rows"):
+            cv_folds(3, 5, 0)  # two folds would be empty
 
     def test_empty_grid(self):
         ds = Dataset(features=np.zeros((12, 1)), targets=np.zeros(12))
@@ -375,12 +377,13 @@ class TestRunBlockStream:
         blocks = small_blocks(9, count=1)
         test = synth_block(SyntheticSpec("model1", n=150, seed=9), rng=42)
         report = run_block_stream(blocks, [0, 1], test, seed=3)
-        assert len(report.per_step) == 1
-        step = report.per_step[0]
+        assert len(report.lambdas) == 1
+        assert list(report.mse) == ["rr", "bcrr"]
+        assert report.classification_error is None
         for order, label in ((0, "rr"), (1, "bcrr")):
-            fit = fit_regularized(blocks[0], step.lam, order)
+            fit = fit_regularized(blocks[0], report.lambdas[0], order)
             expected = compute_metrics(predict_linear(fit, test.features), test.targets)
-            assert step.mse[label] == pytest.approx(expected.mse, rel=1e-12)
+            assert report.mse[label] == [pytest.approx(expected.mse, rel=1e-12)]
 
     def test_deterministic_given_seed(self):
         blocks = small_blocks(10)
@@ -413,14 +416,14 @@ class TestRunBlockStream:
         assert select_lambda_cv(block, cv, 4) != kernel_pick  # ridge picks another lambda
 
         report = run_block_stream([block], [0, 1], test, cv=cv, seed=0, kernel_spec=spec)
-        step = report.per_step[0]
+        (lam,) = report.lambdas
         # block 1 of seed 0 shuffles its folds with default_rng((0, 1, 1))
-        assert step.lam == select_lambda_cv(block, cv, (0, 1, 1), kernel_spec=spec)
-        assert set(step.mse) == {"rkn", "bcrkn"}
+        assert lam == select_lambda_cv(block, cv, (0, 1, 1), kernel_spec=spec)
+        assert list(report.mse) == ["rkn", "bcrkn"]
         for order, label in ((0, "rkn"), (1, "bcrkn")):
-            fit = fit_kernel_regularized(block, spec, step.lam, order)
+            fit = fit_kernel_regularized(block, spec, lam, order)
             expected = compute_metrics(predict_kernel(fit, test.features), test.targets)
-            assert step.mse[label] == pytest.approx(expected.mse, rel=1e-12)
+            assert report.mse[label] == [pytest.approx(expected.mse, rel=1e-12)]
 
     def test_column_mismatch_rejected(self):
         blocks = small_blocks(13, count=1)
@@ -438,8 +441,9 @@ class TestRunBlockStream:
         spec = KernelSpec.gaussian(1.0)
         cv = CvConfig(grid=(0.01, 1.0), folds=5)
         report = run_block_stream(blocks, [0, 1, 2], test, cv=cv, seed=5, kernel_spec=spec)
-        assert len(report.per_step) == 2
-        assert set(report.per_step[0].mse) == {"rkn", "bcrkn", "bcrkn-2"}
+        assert len(report.lambdas) == 2
+        assert list(report.mse) == ["rkn", "bcrkn", "bcrkn-2"]
+        assert all(len(series) == 2 for series in report.mse.values())
         for bad in ([-1], [0.5], None):
             with pytest.raises(InvalidParameterError):
                 run_block_stream(blocks, bad, test, cv=cv, seed=5, kernel_spec=spec)
@@ -462,8 +466,8 @@ class TestRunBlockStream:
             seed=8,
             classification=True,
         )
-        series = report.series("classification_error")
-        assert len(series["rr"]) == 2
+        series = report.classification_error
+        assert list(series) == ["rr"] and len(series["rr"]) == 2
         assert all(0.0 <= v <= 1.0 for v in series["rr"])
 
 
@@ -488,11 +492,11 @@ class TestKernelRunningSum:
         )
         for order, label in ((0, "rkn"), (1, "bcrkn")):
             avg = None
-            for t, (block, step) in enumerate(zip(blocks, report.per_step), start=1):
-                fit = fit_kernel_regularized(block, self.SPEC, step.lam, order)
+            for t, (block, lam) in enumerate(zip(blocks, report.lambdas), start=1):
+                fit = fit_kernel_regularized(block, self.SPEC, lam, order)
                 avg = average_update(avg, fit, t)
                 expected = compute_metrics(predict_averaged(avg, test.features), test.targets)
-                np.testing.assert_array_equal(step.mse[label], expected.mse)
+                np.testing.assert_array_equal(report.mse[label][t - 1], expected.mse)
 
     def test_each_fit_is_evaluated_once(self, monkeypatch):
         """Every order's fit on a block is evaluated through that block's one test-set matrix."""
@@ -558,13 +562,13 @@ class TestLinearRunningSum:
         for order in self.ORDERS:
             label = algorithm_label("linear", order)
             avg = None
-            for t, (block, step) in enumerate(zip(blocks, report.per_step), start=1):
-                avg = average_update(avg, fit_regularized(block, step.lam, order), t)
+            for t, (block, lam) in enumerate(zip(blocks, report.lambdas), start=1):
+                avg = average_update(avg, fit_regularized(block, lam, order), t)
                 expected = compute_metrics(predict_averaged(avg, test.features), test.targets)
                 if t == 1:
-                    assert step.mse[label] == expected.mse
+                    assert report.mse[label][0] == expected.mse
                 else:
-                    assert step.mse[label] == pytest.approx(expected.mse, rel=1e-12)
+                    assert report.mse[label][t - 1] == pytest.approx(expected.mse, rel=1e-12)
 
     def test_each_fit_is_evaluated_once(self, monkeypatch):
         calls = []
