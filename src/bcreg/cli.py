@@ -56,7 +56,14 @@ def _utf8_lines(fh, path):
 
 
 def _read_csv_dataset(path) -> tuple[list[str], Dataset]:
-    """The header row and the dataset of a CSV file; last column is the target."""
+    """The header row and the dataset of a CSV file; last column is the target.
+
+    Every row's cells are parsed with ``float`` into one growing double
+    buffer, viewed as the n x width matrix at the end, so the parse peaks
+    near twice the data's bytes: the buffer plus the Dataset's copy.
+    """
+    from array import array  # loaded at the first parse: commands without a CSV never map it
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         header = next(reader, None)
@@ -67,14 +74,14 @@ def _read_csv_dataset(path) -> tuple[list[str], Dataset]:
                 f"{path}: need at least two columns (features plus target), got {len(header)}"
             )
         width = len(header)
-        rows = []
+        cells = array("d")
         for i, row in enumerate(reader, start=1):
             if not row:
                 continue  # tolerate blank lines
             if len(row) != width:
                 raise CsvFormatError(f"{path}: row {i} has {len(row)} cells, expected {width}")
             try:
-                rows.append([float(cell) for cell in row])
+                cells.extend(map(float, row))
             except ValueError:
                 for j, cell in enumerate(row, start=1):
                     try:
@@ -85,9 +92,9 @@ def _read_csv_dataset(path) -> tuple[list[str], Dataset]:
                             row=i,
                             column=j,
                         ) from None
-    if not rows:
+    if not cells:
         raise InsufficientDataError(f"{path}: no data rows after the header")
-    data = np.array(rows, dtype=float)
+    data = np.frombuffer(cells).reshape(-1, width)
     return header, Dataset(features=data[:, :-1], targets=data[:, -1])
 
 

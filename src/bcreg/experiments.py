@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .linear import Dataset, SpectrumProfile, _check_float, _check_int, fit_regularized
+from .linear import Dataset, SpectrumProfile, _check_float, _check_int, _check_rng, fit_regularized
 
 __all__ = [
     "SyntheticSpec",
@@ -99,9 +99,10 @@ def spectrum_profile(model_id: str) -> SpectrumProfile:
 def synth_block(spec: SyntheticSpec, rng=None) -> Dataset:
     """Draw one dataset from the benchmark; deterministic given (spec, rng).
 
-    ``rng`` may be a Generator, a seed, or None to use ``spec.seed``.
+    ``rng`` may be a Generator, integer seeds >= 0 (one or a sequence), or None to
+    use ``spec.seed``.
     """
-    gen = np.random.default_rng(spec.seed if rng is None else rng)
+    gen = _check_rng(spec.seed if rng is None else rng)
     sds = np.sqrt(feature_variances())
     x = gen.standard_normal((spec.n, N_FEATURES)) * sds
     eps = gen.standard_normal(spec.n) * np.sqrt(noise_variance(spec))
@@ -119,9 +120,10 @@ def synth_nonlinear_block(n: int, rng, snr: float = 10.0) -> Dataset:
 
     x is uniform on [-3, 3] and the Gaussian noise variance is set to
     Var(signal) / snr, with the signal variance a precomputed quadrature value.
+    ``rng`` may be a Generator or integer seeds >= 0 (one or a sequence).
     """
     n, snr = _check_int(n, "n", 1), _check_float(snr, "snr", 0.0)
-    gen = np.random.default_rng(rng)
+    gen = _check_rng(rng)
     x = gen.uniform(-3.0, 3.0, size=n)
     noise_sd = np.sqrt(_NONLINEAR_SIGNAL_VARIANCE / snr)
     y = np.sin(3.0 * x) / (1.0 + x * x) + gen.standard_normal(n) * noise_sd
@@ -182,13 +184,14 @@ def slice_into_chunks(dataset: Dataset, m: int, rng) -> list[Dataset]:
     """Randomly permute rows and split them into m equal-size chunks.
 
     Chunk size is floor(n / m); the n mod m leftover rows are dropped so
-    all chunks have identical size.
+    all chunks have identical size.  ``rng`` may be a Generator or integer
+    seeds >= 0 (one or a sequence).
     """
     m = _check_int(m, "m", 1)
     if dataset.n_rows < m:
         raise InsufficientDataError(f"cannot slice {dataset.n_rows} rows into {m} chunks")
     size = dataset.n_rows // m
-    parts = np.random.default_rng(rng).permutation(dataset.n_rows)[: m * size].reshape(m, size)
+    parts = _check_rng(rng).permutation(dataset.n_rows)[: m * size].reshape(m, size)
     return [Dataset(features=dataset.features[r], targets=dataset.targets[r]) for r in parts]
 
 

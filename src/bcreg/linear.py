@@ -19,7 +19,10 @@ asymptotic-bias oracle used to sanity-check Monte-Carlo estimates.
 
 scipy.linalg loads at the first ``_tikhonov`` call, the Cholesky solve
 of linear fits and linear CV folds; ``import bcreg``, kernel fits and
-kernel streams never load it.
+kernel streams never load it.  Each call is one ``cho_factor`` and, per
+back-substitution, one bare LAPACK ``dpotrs``: the systems are p x p
+with p in the tens, so scipy's per-call argument checks in
+``cho_solve`` would cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -77,6 +80,25 @@ def _check_int(value, name: str, low: int) -> int:
 
 
 _check_order = partial(_check_int, name="order", low=0)
+
+
+def _seed_tuple(seed) -> tuple[int, ...]:
+    """A seed or sequence of seeds as a tuple of integers >= 0."""
+    seeds = seed if np.iterable(seed) and not isinstance(seed, (str, bytes)) else (seed,)
+    return tuple(_check_int(s, "seed", 0) for s in seeds)
+
+
+def _check_rng(value) -> np.random.Generator:
+    """``value`` if it is a numpy Generator, else a Generator seeded by it (``_seed_tuple``)."""
+    if isinstance(value, np.random.Generator):
+        return value
+    try:
+        return np.random.default_rng(_seed_tuple(value))
+    except InvalidParameterError:
+        raise InvalidParameterError(
+            "rng must be a numpy Generator or integer seeds >= 0 (one or a sequence), "
+            f"got {value!r}"
+        ) from None
 
 
 def _finite_array(value, ndim: int, name: str) -> np.ndarray:
@@ -210,25 +232,32 @@ def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.n
     """Order-k iterated Tikhonov solution sum_{j=0..k} lam^j (lam I + gram)^-(j+1) rhs.
 
     Every linear fit and linear CV fold is this solve, on (cov, cross).
-    Factors (lam I + gram) once; every correction step is one extra
-    back-substitution, never an explicit matrix power.  Kernel fits are
-    the same solve on (K, y) with lam = lambda n, taken from the block's
-    eigendecomposition instead (``_tikhonov_filter``).
+    Factors (lam I + gram) once, with ``scipy.linalg.cho_factor`` in place
+    on the call's one Fortran-order copy of ``gram``; every correction
+    step is one extra back-substitution, LAPACK ``dpotrs`` on that factor
+    (what ``cho_solve`` runs after its argument checks), never an explicit
+    matrix power.  Kernel fits are the same solve on (K, y) with
+    lam = lambda n, taken from the block's eigendecomposition instead
+    (``_tikhonov_filter``).
     """
-    import scipy.linalg  # loaded at the first call; calls below look up each name afresh
+    import scipy.linalg  # loaded at the first call; cho_factor is looked up afresh on each
 
-    shifted = gram.copy()
+    shifted = np.array(gram, dtype=float, order="F")
     shifted.flat[:: gram.shape[0] + 1] += lam  # the diagonal, without an n x n eye
     try:
-        factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
+        factor, _ = scipy.linalg.cho_factor(
+            shifted, lower=True, overwrite_a=True, check_finite=False
+        )
     except np.linalg.LinAlgError:
         raise DegenerateDataError(
             f"lambda I + Gram matrix has no Cholesky factor at shift {lam}: "
             "the Gram (kernel) matrix is not positive semi-definite"
         ) from None
-    solution = term = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    # dpotrs's info is nonzero only for an illegal argument, which f2py's shape checks rule out
+    potrs = partial(scipy.linalg.lapack.dpotrs, factor, lower=True)
+    solution = term = potrs(rhs)[0]
     for _ in range(order):
-        term = lam * scipy.linalg.cho_solve(factor, term, check_finite=False)
+        term = lam * potrs(term)[0]
         solution = solution + term
     return solution
 

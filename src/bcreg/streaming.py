@@ -42,8 +42,10 @@ from .linear import (
     _check_int,
     _check_lam,
     _check_order,
+    _check_rng,
     _finite_array,
     _holdout_residuals,
+    _seed_tuple,
     fit_regularized,
     predict_linear,
 )
@@ -182,13 +184,13 @@ class CvConfig:
 def cv_folds(n: int, folds: int, rng) -> list[np.ndarray]:
     """Seeded random partition of range(n) into ``folds`` near-equal, nonempty index sets.
 
-    ``rng`` may be an integer seed or a Generator, which is used as is.
+    ``rng`` may be integer seeds >= 0 (one or a sequence) or a Generator, used as is.
     Fewer rows than folds raises InsufficientDataError.
     """
     n, folds = _check_int(n, "n", 1), _check_int(folds, "folds", 2)
     if n < folds:
         raise InsufficientDataError(f"{folds}-fold CV needs at least {folds} rows, got {n}")
-    perm = np.random.default_rng(rng).permutation(n)
+    perm = _check_rng(rng).permutation(n)
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
@@ -212,8 +214,8 @@ def select_lambda_cv(
     regularization kernel network of that kernel.  The fold assignment is
     a seeded random partition into ``cv.folds`` near-equal parts; ties are
     broken toward the largest lambda, which keeps the linear systems
-    better conditioned at no cost in CV error.  ``rng`` may be an integer
-    seed or a Generator.
+    better conditioned at no cost in CV error.  ``rng`` may be integer
+    seeds >= 0 (one or a sequence) or a Generator.
 
     Each family scores a held-out fold in its own module.  Linear folds
     (``linear._holdout_residuals``) take (cov, cross) of their training
@@ -224,6 +226,7 @@ def select_lambda_cv(
     A kernel that is not positive semi-definite raises DegenerateDataError.
     """
     _check_inputs([dataset], cv, kernel_spec)
+    rng = _check_rng(rng)
     if kernel_spec is None:
         holdout = partial(_holdout_residuals, dataset)
     else:
@@ -277,11 +280,6 @@ def _check_orders(orders) -> tuple[int, ...]:
     return checked
 
 
-def _seed_tuple(seed) -> tuple[int, ...]:
-    """A seed or sequence of seeds as a tuple of integers >= 0."""
-    return tuple(_check_int(s, "seed", 0) for s in ((seed,) if np.ndim(seed) == 0 else seed))
-
-
 def run_block_stream(
     blocks,
     orders,
@@ -305,6 +303,10 @@ def run_block_stream(
     test-set metrics at step t are those of sum / t.  Returns one series
     per algorithm label (a ``StreamReport``).  Deterministic given ``seed``.
     """
+    if not np.iterable(blocks):
+        raise InvalidParameterError(
+            f"blocks must be an iterable of Datasets, got {type(blocks).__name__}"
+        )
     blocks = list(blocks)
     if not blocks:
         raise InsufficientDataError("need at least one block")

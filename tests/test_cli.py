@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,38 @@ class TestParseCsvDataset:
         assert err.value.row == 1
         assert err.value.column == 2
         assert "row 1" in str(err.value) and "column 2" in str(err.value)
+
+    def test_bad_cell_after_good_rows_and_cells(self, tmp_path):
+        """The first bad cell is named after earlier cells of its row were already parsed."""
+        path = write(tmp_path / "d.csv", "x1,x2,x3,y\n1,2,3,4\n5,6,zz,8\n")
+        with pytest.raises(CsvParseError, match="row 2, column 3: cannot parse 'zz'") as err:
+            parse_csv_dataset(path)
+        assert (err.value.row, err.value.column) == (2, 3)
+
+    def test_quoted_cells_and_blank_lines(self, tmp_path):
+        path = write(tmp_path / "d.csv", '"x1","x2",y\n"1.5",2,-3\n\n4," 5e-1 ","6"\n\n')
+        ds = parse_csv_dataset(path)
+        np.testing.assert_array_equal(ds.features, [[1.5, 2.0], [4.0, 0.5]])
+        np.testing.assert_array_equal(ds.targets, [-3.0, 6.0])
+
+    def test_every_cell_is_its_float_within_three_times_the_data(self, tmp_path):
+        """A 2000 x 21 file parses to float() of each cell, peaking under 3x the data's bytes."""
+        rng = np.random.default_rng(20)
+        values = rng.normal(size=(2000, 21)) * 10.0 ** rng.integers(-6, 6, size=(2000, 21))
+        formats = np.array(["{:.17g}", "{:.4e}", "{:.0f}", "{!r}"])
+        formats = formats[rng.integers(4, size=values.shape)]
+        rows = [",".join(map(str.format, fr, vr)) for fr, vr in zip(formats, values.tolist())]
+        path = write(tmp_path / "big.csv", "\n".join([",".join(f"c{j}" for j in range(21)), *rows]))
+        expected = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        tracemalloc.start()
+        try:
+            ds = parse_csv_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ds.features, expected[:, :-1])
+        np.testing.assert_array_equal(ds.targets, expected[:, -1])
+        assert peak < 3 * (ds.features.nbytes + ds.targets.nbytes)
 
     def test_header_only(self, tmp_path):
         path = write(tmp_path / "d.csv", "x1,x2,y\n")

@@ -324,6 +324,18 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: CenteredStats([0.0], "a", [[1.0]], [0.0]), InvalidParameterError),
         (lambda: CenteredStats([0.0], 0.0, [[1.0, 2.0]], [0.0]), ShapeError),
         (lambda: CenteredStats([0.0], 0.0, [[1.0]], None), ShapeError),
+        (lambda: select_lambda_cv(_block(), rng="a"), InvalidParameterError),
+        (lambda: slice_into_chunks(_block(), 3, rng="x"), InvalidParameterError),
+        (lambda: cv_folds(30, 5, -1), InvalidParameterError),
+        (lambda: cv_folds(30, 5, 2.5), InvalidParameterError),
+        (lambda: cv_folds(30, 5, (1, -1)), InvalidParameterError),
+        (lambda: cv_folds(30, 5, [[1], [1, 2]]), InvalidParameterError),
+        (lambda: cv_folds(30, 5, b"\x05"), InvalidParameterError),
+        (lambda: cv_folds(30, 5, np.random.SeedSequence(0)), InvalidParameterError),
+        (lambda: synth_block(SyntheticSpec("model1", n=10), rng="a"), InvalidParameterError),
+        (lambda: synth_nonlinear_block(10, None), InvalidParameterError),
+        (lambda: run_block_stream(_block(), [0], _block()), InvalidParameterError),
+        (lambda: run_block_stream(3, [0], _block()), InvalidParameterError),
     ],
     ids=[
         "bandwidth-str", "offset-str", "spec-snr-none", "nonlinear-snr-str",
@@ -334,6 +346,10 @@ def test_non_integer_counts_are_parameter_errors(call):
         "predict-averaged-linear-fit", "stream-test-array", "stream-block-array",
         "stream-kernel-str", "cv-dataset-array", "cv-kernel-str", "folds-above-rows",
         "centered-nan", "centered-y-mean-str", "centered-cov-shape", "centered-cross-none",
+        "cv-rng-str", "chunks-rng-str", "folds-rng-negative", "folds-rng-float",
+        "folds-rng-tuple-negative", "folds-rng-ragged", "folds-rng-bytes",
+        "folds-rng-seed-sequence", "synth-rng-str",
+        "nonlinear-rng-none", "stream-blocks-dataset", "stream-blocks-int",
     ],
 )
 def test_bad_boundary_values_raise_bcreg_errors(call, error):

@@ -279,8 +279,8 @@ class TestSelectLambdaCv:
                 cv_folds(10, bad, np.random.default_rng(0))
 
     def test_fold_seed_is_an_int_or_a_generator(self):
-        """cv_folds takes an integer seed, as select_lambda_cv does: the folds of its Generator."""
-        for n, folds, seed in ((10, 3, 0), (57, 10, 1603)):
+        """cv_folds takes integer seeds, as select_lambda_cv does: the folds of their Generator."""
+        for n, folds, seed in ((10, 3, 0), (57, 10, 1603), (57, 10, (1603, 2, 1))):
             by_seed = cv_folds(n, folds, seed)
             by_generator = cv_folds(n, folds, np.random.default_rng(seed))
             assert len(by_seed) == folds

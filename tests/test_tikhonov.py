@@ -1,6 +1,7 @@
 """Property tests of the iterated-Tikhonov solve of every fit and its spectral form."""
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -49,6 +50,19 @@ def test_matches_sum_of_direct_solves(system):
         direct = direct + lam**j * term
     got = _tikhonov(gram, rhs, lam, order)
     assert np.linalg.norm(got - direct) <= 1e-8 * max(np.linalg.norm(direct), 1e-300)
+
+
+@settings(deadline=None, max_examples=200)
+@given(systems())
+def test_is_cho_solve_bit_for_bit(system):
+    """_tikhonov equals cho_solve(cho_factor(lam I + G)) iterated k times, to the last bit."""
+    gram, rhs, lam, order = system
+    factor = scipy.linalg.cho_factor(lam * np.eye(gram.shape[0]) + gram, lower=True)
+    solution = term = scipy.linalg.cho_solve(factor, rhs)
+    for _ in range(order):
+        term = lam * scipy.linalg.cho_solve(factor, term)
+        solution = solution + term
+    assert np.array_equal(_tikhonov(gram, rhs, lam, order), solution)
 
 
 @settings(deadline=None, max_examples=200)
