@@ -14,7 +14,9 @@ matrix is built and decomposed once, K = U diag(s) U', and every fit is
 the spectral filter sum_{j=0..k} mu^j / (mu + s)^(j+1) applied to U' y.
 Cross validation on the block reads the same decomposition: a fold's
 held-out residuals follow in closed form from (K + mu I)^-1, so neither
-the fits nor the folds factor another matrix.
+the fits nor the folds factor another matrix.  The block's folds are
+scored together, in groups of equal-size folds: one matrix product and
+one batched solve per group, not per fold.
 
 No intercept and no target centering are used; the fit lives entirely
 in the kernel's function space.
@@ -32,16 +34,19 @@ s_min + mu <= 0, where s_min is the smallest eigenvalue of the block's
 kernel matrix.
 
 Distances take numpy alone (``_sq_distances``), so the kernel path
-never imports scipy.  Exact per-feature sums cost time on wide inputs:
-at 57 features they are about five times slower than scipy.spatial's
-cdist.  The fast Gram form |a|^2 + |b|^2 - 2 a.b is not exact: it can
-put identical rows a nonzero distance apart.
+never imports scipy, nor ``numpy.ma``: the median bandwidth is taken
+with ``np.partition``, as ``np.median``'s NaN check would import it.
+Exact per-feature sums cost time on wide inputs: at 57 features they
+are about five times slower than scipy.spatial's cdist.  The fast Gram
+form |a|^2 + |b|^2 - 2 a.b is not exact: it can put identical rows a
+nonzero distance apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -210,7 +215,10 @@ def median_bandwidth(rows) -> float:
         dists = np.sqrt(_sq_distances(a, a)[np.triu(np.ones((n, n), dtype=bool), 1)])
     if not np.all(np.isfinite(dists)):
         raise InvalidDataError("a pairwise distance is not finite (NaN or inf entry, or overflow)")
-    med = float(np.median(dists))
+    # the distances are finite, so np.median's NaN check, which imports numpy.ma, is not needed
+    half = dists.size // 2
+    part = np.partition(dists, [half - 1, half] if dists.size % 2 == 0 else half)
+    med = float(part[half] if dists.size % 2 else (part[half - 1] + part[half]) / 2)
     if med == 0.0:
         raise DegenerateDataError("median pairwise distance is zero")
     return med
@@ -226,7 +234,6 @@ class _KernelBlock:
 
     def __init__(self, dataset: Dataset, spec: KernelSpec):
         self.dataset, self.spec = dataset, spec
-        self._holdout_filters: dict[bytes, np.ndarray] = {}
 
     @cached_property
     def eig(self):
@@ -235,12 +242,22 @@ class _KernelBlock:
         s, u = np.linalg.eigh(kernel_matrix(self.spec, x, x))
         return s, u, u.T @ self.dataset.targets
 
-    def fit(self, lam: float, order: int) -> KernelModel:
-        """The order-k fit at lambda: c = U (filter * U' y) at the shift lambda n."""
-        lam, order = _check_lam(lam), _check_order(order)
+    def coeffs(self, lam: float, orders) -> list[np.ndarray]:
+        """Coefficients U (filter * U' y) of the fit of each order, at the shift lambda n.
+
+        Raises InvalidDataError if a coefficient is not finite.
+        """
         s, u, uy = self.eig
-        filt = _tikhonov_filter(s, np.array([lam * self.dataset.n_rows]), order)[0]
-        coeffs = u @ (filt * uy)
+        shift = np.array([lam * self.dataset.n_rows])
+        out = [u @ (_tikhonov_filter(s, shift, order)[0] * uy) for order in orders]
+        if not np.isfinite(out).all():
+            raise InvalidDataError("kernel fit coefficients contain non-finite values")
+        return out
+
+    def fit(self, lam: float, order: int) -> KernelModel:
+        """The order-k fit at lambda, as a KernelModel of ``coeffs``."""
+        lam, order = _check_lam(lam), _check_order(order)
+        (coeffs,) = self.coeffs(lam, [order])
         return KernelModel(
             centers=self.dataset.features, coeffs=coeffs, spec=self.spec, lam=lam, order=order
         )
@@ -248,30 +265,44 @@ class _KernelBlock:
     def cross(self, rows: np.ndarray) -> np.ndarray:
         """Kernel values between ``rows`` and the block's rows, shape (m, n).
 
-        ``cross(rows) @ fit.coeffs`` equals ``predict_kernel(fit, rows)``
-        bitwise for every fit of this block, whatever its order.
+        ``cross(rows) @ c`` equals ``predict_kernel(fit, rows)`` bitwise
+        for the coefficients c of every fit of this block, whatever its order.
         """
         return kernel_matrix(self.spec, rows, self.dataset.features)
 
-    def holdout_residuals(self, val_idx: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        """Residuals y_V - K_VT (K_TT + mu I)^-1 y_T on the rows V, one column per lambda.
+    def holdout_residuals(self, folds, grid: np.ndarray):
+        """Residuals y_V - K_VT (K_TT + mu I)^-1 y_T of the folds V, one column per lambda.
 
-        T is every other row and mu = lambda |T|.  With B = (K + mu I)^-1
+        T is every row outside V and mu = lambda |T|.  With B = (K + mu I)^-1
         = U diag(1 / (s + mu)) U', the residuals are (B_VV)^-1 (B y)_V
-        (An, Liu & Venkatesh, Pattern Recognition 2007): one batched
-        (grid, v, v) solve, with no training-fold matrix to factor.  Folds
-        of equal |T| share one filter 1 / (s + mu).  The largest temporary
-        is (grid, v, n), so callers loop over folds.
+        (An, Liu & Venkatesh, Pattern Recognition 2007), so no training-fold
+        matrix is factored.  Neighbouring folds of equal size share one
+        filter 1 / (s + mu) and one B y, and are scored in groups of at most
+        ``grid.size`` rows: a group's B_VV blocks for every lambda come from
+        one product of the filter with the row products u_a * u_b of U, and
+        its residuals from one batched solve.  A fold of more rows than the
+        grid is a group of its own, its products taken in chunks of
+        ``grid.size`` rows, so no temporary outgrows one fold's (grid, v, n)
+        array.  Yields one (folds, v, grid.size) residual stack per group,
+        in the order of ``folds``.
         """
         s, u, uy = self.eig
-        shifts = grid * (self.dataset.n_rows - len(val_idx))
-        inv = self._holdout_filters.get(shifts.tobytes())
-        if inv is None:
-            inv = self._holdout_filters[shifts.tobytes()] = _tikhonov_filter(s, shifts, 0)
-        u_val = u[val_idx]
-        b_vv = (u_val * inv[:, None, :]) @ u_val.T
-        b_y = (inv * uy) @ u_val.T
-        return np.linalg.solve(b_vv, b_y[..., None])[..., 0].T
+        n, g = self.dataset.n_rows, grid.size
+        for v, run in groupby(folds, len):
+            run = list(run)
+            inv = _tikhonov_filter(s, grid * (n - v), 0)
+            b_y = (inv * uy) @ u.T
+            step = max(1, g // v)  # whole folds per group; a fold over g rows is its own
+            for f in range(0, len(run), step):
+                val = np.stack(run[f : f + step])  # (m, v)
+                rows = u[val]
+                b_vv = np.empty((g, *val.shape, v))
+                for a in range(0, v, g):
+                    # one expression, so a chunk's row products are freed before the next's
+                    b_vv[:, :, a : a + g] = (
+                        inv @ (rows[:, a : a + g, None, :] * rows[:, None, :, :]).reshape(-1, n).T
+                    ).reshape(g, len(val), -1, v)
+                yield np.linalg.solve(b_vv, b_y[:, val, None])[..., 0].transpose(1, 2, 0)
 
 
 def fit_kernel_regularized(

@@ -309,22 +309,25 @@ def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel
     return LinearModel(weights=w, intercept=intercept, lam=lam, order=order)
 
 
-def _holdout_residuals(dataset: Dataset, val_idx: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Residuals y_V - f_T(x_V) on the rows V, one column per lambda in ``grid``.
+def _holdout_residuals(dataset: Dataset, folds, grid: np.ndarray):
+    """Residuals y_V - f_T(x_V) of the folds V, one column per lambda in ``grid``.
 
-    f_T is the order-0 ``fit_regularized`` on the other rows T, so its
-    intercept is unpenalised, with one ``_tikhonov`` Cholesky per lambda.
-    The linear fold scorer of ``streaming._select_lambda``; the kernel
-    one is ``_KernelBlock.holdout_residuals``.
+    f_T is the order-0 ``fit_regularized`` on the rows T outside V, so its
+    intercept is unpenalised, with one ``_tikhonov`` Cholesky per fold and
+    lambda.  Yields a (1, len(V), grid.size) residual stack per fold, in
+    the order of ``folds``.  The linear fold scorer of
+    ``streaming._select_lambda``; the kernel one is
+    ``_KernelBlock.holdout_residuals``.
     """
     x, y = dataset.features, dataset.targets
-    train = np.ones(dataset.n_rows, dtype=bool)
-    train[val_idx] = False
-    x_mean, y_mean, gram, rhs = _centered_arrays(x[train], y[train])
-    # one Cholesky per lambda, not one eigh and _tikhonov_filter, until
-    # bench/test_bench.py's pin of 250 factorizations per linear CV call is restated
-    path = np.column_stack([_tikhonov(gram, rhs, lam, 0) for lam in grid])
-    return y[val_idx, None] - ((x[val_idx] - x_mean) @ path + y_mean)
+    for val_idx in folds:
+        train = np.ones(dataset.n_rows, dtype=bool)
+        train[val_idx] = False
+        x_mean, y_mean, gram, rhs = _centered_arrays(x[train], y[train])
+        # one Cholesky per lambda, not one eigh and _tikhonov_filter, until
+        # bench/test_bench.py's pin of 250 factorizations per linear CV call is restated
+        path = np.column_stack([_tikhonov(gram, rhs, lam, 0) for lam in grid])
+        yield (y[val_idx, None] - ((x[val_idx] - x_mean) @ path + y_mean))[None]
 
 
 def _as_rows(features, p: int) -> np.ndarray:

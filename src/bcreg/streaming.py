@@ -191,7 +191,11 @@ def cv_folds(n: int, folds: int, rng) -> list[np.ndarray]:
     if n < folds:
         raise InsufficientDataError(f"{folds}-fold CV needs at least {folds} rows, got {n}")
     perm = _check_rng(rng).permutation(n)
-    return [np.sort(part) for part in np.array_split(perm, folds)]
+    # np.array_split's parts: the first n % folds hold one row more than the rest
+    size, extra = divmod(n, folds)
+    cut = extra * (size + 1)
+    long, short = perm[:cut].reshape(extra, size + 1), perm[cut:].reshape(-1, size)
+    return [*np.sort(long, axis=1), *np.sort(short, axis=1)]
 
 
 def _check_inputs(datasets, cv, kernel_spec) -> None:
@@ -217,13 +221,15 @@ def select_lambda_cv(
     better conditioned at no cost in CV error.  ``rng`` may be integer
     seeds >= 0 (one or a sequence) or a Generator.
 
-    Each family scores a held-out fold in its own module.  Linear folds
+    Each family scores the held-out folds in its own module.  Linear folds
     (``linear._holdout_residuals``) take (cov, cross) of their training
     rows and one Cholesky solve per lambda.  Kernel folds
     (``kernels._KernelBlock.holdout_residuals``) factor nothing: the
-    dataset's kernel matrix is decomposed once, and each fold's residuals
-    at lambda n_train follow from that one decomposition in closed form.
-    A kernel that is not positive semi-definite raises DegenerateDataError.
+    dataset's kernel matrix is decomposed once, and every fold's residuals
+    at lambda n_train follow from that one decomposition in closed form,
+    equal-size folds together in one product and one batched solve per
+    group.  A kernel that is not positive semi-definite raises
+    DegenerateDataError.
     """
     _check_inputs([dataset], cv, kernel_spec)
     rng = _check_rng(rng)
@@ -237,21 +243,23 @@ def select_lambda_cv(
 def _select_lambda(n: int, cv: CvConfig, rng, holdout) -> float:
     """The CV loop of ``select_lambda_cv`` over n rows, whatever the family.
 
-    ``cv`` was checked at the call.  ``holdout(val_idx, grid)`` returns the
-    validation residuals of the fits on the other rows, shape
-    (len(val_idx), grid.size); every fold adds their mean square to one
-    error per grid value.  The folds are drawn first, so a fold count
-    above n raises even for a one-value grid.
+    ``cv`` was checked at the call.  ``holdout(folds, grid)`` is handed
+    all the folds at once and yields the validation residuals of the fits
+    on the other rows as stacks of shape (folds in the stack, fold size,
+    grid.size), in fold order; each fold adds its mean squared residual to
+    one error per grid value, in fold order.  The folds are drawn first,
+    so a fold count above n raises even for a one-value grid.
     """
     folds = cv_folds(n, cv.folds, rng)
-    grid = np.unique(cv.grid)
+    grid = np.array(sorted(set(cv.grid)))  # np.unique would import numpy.ma
     if grid.size == 1:
         return float(grid[0])
 
     errors = np.zeros(grid.size)
-    for val_idx in folds:
-        errors += np.mean(holdout(val_idx, grid) ** 2, axis=0)
-    # np.unique sorted the grid, so [-1] is the largest lambda among the least errors
+    for stack in holdout(folds, grid):
+        for fold_error in np.mean(stack**2, axis=1):
+            errors += fold_error
+    # the grid is sorted, so [-1] is the largest lambda among the least errors
     return float(grid[errors == errors.min()][-1])
 
 
@@ -335,7 +343,7 @@ def run_block_stream(
                 kernel = _KernelBlock(block, kernel_spec)
                 lam = _select_lambda(block.n_rows, cv, rng, kernel.holdout_residuals)
                 test_kernel = kernel.cross(test.features)
-                fresh = [test_kernel @ kernel.fit(lam, k).coeffs for k in orders]
+                fresh = [test_kernel @ c for c in kernel.coeffs(lam, orders)]
             else:
                 lam = select_lambda_cv(block, cv, rng)
                 fits = [fit_regularized(block, lam, k) for k in orders]

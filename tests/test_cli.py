@@ -270,8 +270,9 @@ class TestUsageErrors:
         """Startup and the kernel commands load no scipy; a linear stream loads scipy.linalg only.
 
         ``import bcreg``, ``--help``, a synthetic ``kernel-stream`` and a
-        median-bandwidth kernel ``fit`` run on numpy alone; ``scipy.linalg``
-        loads at the first Cholesky solve of a linear fit.
+        median-bandwidth kernel ``fit`` run on numpy alone, without
+        ``numpy.ma`` either; ``scipy.linalg`` loads at the first Cholesky
+        solve of a linear fit.
         """
         heavy = ("scipy.integrate", "scipy.spatial", "scipy.optimize", "scipy.special",
                  "scipy.sparse")
@@ -294,6 +295,7 @@ class TestUsageErrors:
             scipy_modules = {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
             if args in numpy_only:
                 assert not scipy_modules, args
+                assert not {m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")}, args
             else:
                 assert "scipy.linalg" in scipy_modules, args
                 assert not {m for m in scipy_modules if m.startswith(heavy)}, args

@@ -21,7 +21,7 @@ from bcreg import (
     predict_kernel,
     predict_linear,
 )
-from bcreg.kernels import _sq_distances
+from bcreg.kernels import _KernelBlock, _sq_distances
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -261,6 +261,14 @@ class TestFitKernelRegularized:
         spec = KernelSpec.polynomial(3, offset=-5.0)
         with pytest.raises(DegenerateDataError):
             fit_kernel_regularized(ds, spec, 1e-6, 0)
+
+    def test_non_finite_coefficients_are_invalid_data(self):
+        """A block's coefficients of every order are checked finite, as a KernelModel's are."""
+        ds = Dataset(features=np.array([[0.0], [1.0]]), targets=np.array([1.0, 2.0]))
+        block = _KernelBlock(ds, GAUSS)
+        block.eig = (np.array([1.0, 2.0]), np.eye(2), np.array([np.nan, 1.0]))
+        with pytest.raises(InvalidDataError, match="non-finite"):
+            block.coeffs(0.5, [0, 1])
 
     def test_coefficient_identity(self):
         """c# must equal (lam I + K/n)^-1 (2 lam I + K/n) c for every fit, and the

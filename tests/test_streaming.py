@@ -1,5 +1,7 @@
 """Streaming tests: averaging recurrence, CV selection, and full block runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,7 +36,10 @@ from bcreg import (
     run_block_stream,
     select_lambda_cv,
     synth_block,
+    synth_nonlinear_block,
 )
+from bcreg.kernels import _KernelBlock
+from bcreg.streaming import _select_lambda
 
 
 def linear_model(w, b=0.0):
@@ -286,6 +291,35 @@ class TestSelectLambdaCv:
             assert len(by_seed) == folds
             for a, b in zip(by_seed, by_generator):
                 np.testing.assert_array_equal(a, b)
+
+    def test_folds_are_the_array_split_of_the_permutation(self):
+        """cv_folds(n, folds, seed) == np.array_split of the seed's permutation, each part sorted."""
+        for seed in (0, 7, 1603, (42, 3, 1)):
+            for n in range(2, 61):
+                for folds in range(2, n + 1):
+                    perm = np.random.default_rng(seed).permutation(n)
+                    expected = [np.sort(part) for part in np.array_split(perm, folds)]
+                    got = cv_folds(n, folds, seed)
+                    assert [len(p) for p in got] == [len(p) for p in expected], (n, folds)
+                    assert np.array_equal(np.concatenate(got), np.concatenate(expected))
+
+    def test_kernel_cv_peak_memory(self):
+        """One kernel CV call's traced peak stays within 1.5 times that of scoring fold by fold.
+
+        Scoring one fold at a time peaks at 0.96 MB on 200 rows and 3.56 MB
+        on 400 (10 folds, default grid); folds of 20 rows are scored one per
+        group, folds of 40 rows in row chunks.
+        """
+        for n, peak_mb in ((200, 0.96), (400, 3.56)):
+            block = _KernelBlock(synth_nonlinear_block(n, (1, n)), KernelSpec.gaussian(0.5))
+            block.eig  # the decomposition is the block's, not the CV call's
+            tracemalloc.start()
+            try:
+                _select_lambda(n, CvConfig(), np.random.default_rng(0), block.holdout_residuals)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * peak_mb * 1e6, (n, peak)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)

@@ -96,10 +96,16 @@ def test_filter_increases_with_order(s, shifts):
 
 
 def test_holdout_residuals_match_direct_solves():
-    """(B_VV)^-1 (B y)_V == y_V - K_VT (K_TT + mu I)^-1 y_T for every fold and shift."""
+    """(B_VV)^-1 (B y)_V == y_V - K_VT (K_TT + mu I)^-1 y_T for every fold and shift.
+
+    One call scores all of a block's folds, yielding a residual stack per
+    group of folds.  The 2-value grid puts fewer rows than a fold holds
+    into each product (row chunks of one fold); the 12-value grid puts
+    several whole folds into one product.
+    """
     rng = np.random.default_rng(7)
     specs = [KernelSpec.gaussian(0.8), KernelSpec.polynomial(2, 1.0), KernelSpec.polynomial(3)]
-    grid = np.array([1e-3, 0.2])
+    grids = [np.array([1e-3, 0.2]), np.logspace(-3, 1, 12)]
     # 23 rows in 4 folds leave 17 or 18 training rows; 20 rows in 5 folds leave 16
     for n, folds in ((23, 4), (20, 5), (31, 10)):
         for spec in specs:
@@ -107,15 +113,18 @@ def test_holdout_residuals_match_direct_solves():
             ds = Dataset(features=x, targets=np.sin(3 * x[:, 0]) + 0.1 * rng.normal(size=n))
             block = _KernelBlock(ds, spec)
             kmat = kernel_matrix(spec, x, x)
-            for val in cv_folds(n, folds, rng):
-                train = np.setdiff1d(np.arange(n), val)
-                got = block.holdout_residuals(val, grid)
-                assert got.shape == (len(val), grid.size)
-                for g, lam in enumerate(grid):
-                    shifted = kmat[np.ix_(train, train)] + lam * len(train) * np.eye(len(train))
-                    coeffs = np.linalg.solve(shifted, ds.targets[train])
-                    direct = ds.targets[val] - kmat[np.ix_(val, train)] @ coeffs
-                    assert np.linalg.norm(got[:, g] - direct) <= 1e-8 * np.linalg.norm(direct)
+            parts = cv_folds(n, folds, rng)
+            for grid in grids:
+                residuals = [r for stack in block.holdout_residuals(parts, grid) for r in stack]
+                assert len(residuals) == len(parts)
+                for val, got in zip(parts, residuals):
+                    train = np.setdiff1d(np.arange(n), val)
+                    assert got.shape == (len(val), grid.size)
+                    for g, lam in enumerate(grid):
+                        shifted = kmat[np.ix_(train, train)] + lam * len(train) * np.eye(len(train))
+                        coeffs = np.linalg.solve(shifted, ds.targets[train])
+                        direct = ds.targets[val] - kmat[np.ix_(val, train)] @ coeffs
+                        assert np.linalg.norm(got[:, g] - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 def test_linear_holdout_residuals_match_direct_ridge_solves():
@@ -126,9 +135,11 @@ def test_linear_holdout_residuals_match_direct_ridge_solves():
         x = rng.normal(size=(n, 3)) + 2.0  # off-centre, so the intercept matters
         y = x @ np.array([1.0, -2.0, 0.5]) + 3.0 + rng.normal(size=n)
         ds = Dataset(features=x, targets=y)
-        for val in cv_folds(n, folds, rng):
+        parts = cv_folds(n, folds, rng)
+        residuals = [r for stack in _holdout_residuals(ds, parts, grid) for r in stack]
+        assert len(residuals) == len(parts)
+        for val, got in zip(parts, residuals):
             train = np.setdiff1d(np.arange(n), val)
-            got = _holdout_residuals(ds, val, grid)
             assert got.shape == (len(val), grid.size)
             xc = x[train] - x[train].mean(axis=0)
             yc = y[train] - y[train].mean()
