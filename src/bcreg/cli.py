@@ -40,19 +40,11 @@ from .experiments import (
     synth_block,
     synth_nonlinear_block,
 )
-from .kernels import KernelSpec, fit_kernel_regularized, median_bandwidth
-from .linear import Dataset, _check_float, _check_int, _check_order, fit_regularized
+from .kernels import KERNEL_KINDS, KernelSpec, fit_kernel_regularized, median_bandwidth
+from .linear import Dataset, _check_float, _check_int, _check_order, _check_record, fit_regularized
 from .streaming import DEFAULT_LAMBDA_GRID, CvConfig, _check_orders, run_block_stream
 
 __all__ = ["parse_csv_dataset", "write_csv_dataset", "build_parser", "main", "entry"]
-
-
-def _utf8_lines(fh, path):
-    """The lines of a file opened as UTF-8 text; invalid bytes raise CsvFormatError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_csv_dataset(path) -> tuple[list[str], Dataset]:
@@ -61,37 +53,41 @@ def _read_csv_dataset(path) -> tuple[list[str], Dataset]:
     Every row's cells are parsed with ``float`` into one growing double
     buffer, viewed as the n x width matrix at the end, so the parse peaks
     near twice the data's bytes: the buffer plus the Dataset's copy.
+    Bytes that are not UTF-8 raise CsvFormatError.
     """
     from array import array  # loaded at the first parse: commands without a CSV never map it
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path}: empty file, expected a header row")
-        if len(header) < 2:
-            raise CsvFormatError(
-                f"{path}: need at least two columns (features plus target), got {len(header)}"
-            )
-        width = len(header)
-        cells = array("d")
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue  # tolerate blank lines
-            if len(row) != width:
-                raise CsvFormatError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-            try:
-                cells.extend(map(float, row))
-            except ValueError:
-                for j, cell in enumerate(row, start=1):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise CsvParseError(
-                            f"{path}: row {i}, column {j}: cannot parse {cell!r} as a number",
-                            row=i,
-                            column=j,
-                        ) from None
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file, expected a header row")
+            if len(header) < 2:
+                raise CsvFormatError(
+                    f"{path}: need at least two columns (features plus target), got {len(header)}"
+                )
+            width = len(header)
+            cells = array("d")
+            for i, row in enumerate(reader, start=1):
+                if not row:
+                    continue  # tolerate blank lines
+                if len(row) != width:
+                    raise CsvFormatError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+                try:
+                    cells.extend(map(float, row))
+                except ValueError:
+                    for j, cell in enumerate(row, start=1):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise CsvParseError(
+                                f"{path}: row {i}, column {j}: cannot parse {cell!r} as a number",
+                                row=i,
+                                column=j,
+                            ) from None
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not cells:
         raise InsufficientDataError(f"{path}: no data rows after the header")
     data = np.frombuffer(cells).reshape(-1, width)
@@ -105,7 +101,7 @@ def parse_csv_dataset(path) -> Dataset:
 
 def write_csv_dataset(dataset: Dataset, path, header=None) -> None:
     """Write a dataset as CSV with 17 significant digits (exact round trip)."""
-    p = dataset.n_features
+    p = _check_record(dataset, Dataset, "dataset").n_features
     names = list(header) if header is not None else [f"x{i + 1}" for i in range(p)] + ["y"]
     if len(names) != p + 1:
         raise ShapeError(f"header has {len(names)} names, expected {p + 1} (features plus target)")
@@ -163,10 +159,7 @@ def _add_output_args(sub) -> None:
 
 
 def _add_kernel_args(sub) -> None:
-    sub.add_argument(
-        "--kernel", choices=["gaussian", "linear", "polynomial"], default="gaussian",
-        help="kernel kind",
-    )
+    sub.add_argument("--kernel", choices=KERNEL_KINDS, default="gaussian", help="kernel kind")
     sub.add_argument(
         "--bandwidth", type=_bandwidth_policy, default="median",
         help="Gaussian bandwidth: 'median' (pairwise-distance heuristic) or a number",
@@ -186,7 +179,7 @@ def _add_stream_args(sub, blocks: int, block_size: int) -> None:
                      help="comma-separated correction orders to compare")
     sub.add_argument("--reps", type=int, default=1, help="repetitions to average over")
     sub.add_argument("--folds", type=int, default=10, help="CV folds per block")
-    sub.add_argument("--grid", type=_float_list, default=None,
+    sub.add_argument("--grid", type=_float_list, default=DEFAULT_LAMBDA_GRID,
                      help="comma-separated lambda grid (default: 25 log-spaced in [1e-6, 1e2])")
     sub.add_argument("--snr", type=float, default=10.0)
     sub.add_argument("--classification", action="store_true",
@@ -282,15 +275,13 @@ def _cmd_fit(args):
         config["kernel"] = dataclasses.asdict(spec)
         results = {"coeffs": [float(c) for c in model.coeffs]}
         rows = [{"name": f"c{i}", "value": float(c)} for i, c in enumerate(model.coeffs)]
-    payload = {"config": config, "seed": None, "results": results}
-    return payload, rows
+    return config, results, rows
 
 
 def _cmd_bias_variance(args):
-    model_id = f"model{args.model}"
+    spec = SyntheticSpec(model_id=f"model{args.model}", n=args.n, snr=args.snr, seed=args.seed)
     reports = []
     for lam in args.lam:
-        spec = SyntheticSpec(model_id=model_id, n=args.n, snr=args.snr, seed=args.seed)
         rep = monte_carlo_bias_variance(spec, lam, args.order, args.reps)
         reports.append(
             {
@@ -312,8 +303,7 @@ def _cmd_bias_variance(args):
         "reps": args.reps,
         "snr": args.snr,
     }
-    payload = {"config": config, "seed": args.seed, "results": reports}
-    return payload, reports
+    return config, reports, reports
 
 
 def _stream_data(args, family: str, full: Dataset | None, seed: tuple):
@@ -329,7 +319,7 @@ def _stream_data(args, family: str, full: Dataset | None, seed: tuple):
         return blocks, blocks.pop(int(rng.integers(args.blocks)))
     if family == "linear":
         def draw(n, rng):
-            spec = SyntheticSpec(model_id=f"model{args.model}", n=n, snr=args.snr, seed=args.seed)
+            spec = SyntheticSpec(model_id=f"model{args.model}", n=n, snr=args.snr)
             return synth_block(spec, rng=rng)
     else:
         def draw(n, rng):
@@ -352,7 +342,7 @@ def _run_stream_command(args, family: str):
     _check_int(args.blocks, "blocks", 1)
     if args.input:  # one chunk is the test set
         _check_int(args.blocks, "with --input, blocks", 2)
-    cv = CvConfig(DEFAULT_LAMBDA_GRID if args.grid is None else args.grid, args.folds)
+    cv = CvConfig(args.grid, args.folds)
     full = parse_csv_dataset(args.input) if args.input else None
 
     reports = []
@@ -408,8 +398,7 @@ def _run_stream_command(args, family: str):
             for label, series in results[metric].items():
                 row[f"{prefix}_{label}"] = series[i]
         rows.append(row)
-    payload = {"config": config, "seed": args.seed, "results": results}
-    return payload, rows
+    return config, results, rows
 
 
 def _cmd_chunks(args):
@@ -430,8 +419,7 @@ def _cmd_chunks(args):
         "dropped_rows": dataset.n_rows - size * args.m,
     }
     rows = [{"chunk": i, "file": f, "rows": size} for i, f in enumerate(files)]
-    payload = {"config": config, "seed": args.seed, "results": results}
-    return payload, rows
+    return config, results, rows
 
 
 COMMANDS = {
@@ -479,7 +467,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        payload, rows = COMMANDS[args.command](args)
+        config, results, rows = COMMANDS[args.command](args)
+        payload = {"config": config, "seed": getattr(args, "seed", None), "results": results}
         _write_output(payload, rows, args.out, args.format)
     except (BcregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,10 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .linear import Dataset, SpectrumProfile, _check_float, _check_int, _check_rng, fit_regularized
+from .linear import (
+    Dataset, SpectrumProfile, _check_float, _check_int, _check_record, _check_rng, _float_array,
+    fit_regularized,
+)
 
 __all__ = [
     "SyntheticSpec",
@@ -88,7 +91,7 @@ def signal_variance(model_id: str) -> float:
 
 
 def noise_variance(spec: SyntheticSpec) -> float:
-    return signal_variance(spec.model_id) / spec.snr
+    return signal_variance(_check_record(spec, SyntheticSpec, "spec").model_id) / spec.snr
 
 
 def spectrum_profile(model_id: str) -> SpectrumProfile:
@@ -102,6 +105,7 @@ def synth_block(spec: SyntheticSpec, rng=None) -> Dataset:
     ``rng`` may be a Generator, integer seeds >= 0 (one or a sequence), or None to
     use ``spec.seed``.
     """
+    _check_record(spec, SyntheticSpec, "spec")
     gen = _check_rng(spec.seed if rng is None else rng)
     sds = np.sqrt(feature_variances())
     x = gen.standard_normal((spec.n, N_FEATURES)) * sds
@@ -158,7 +162,7 @@ def monte_carlo_bias_variance(
     entropy (spec.seed, rep) and refits; intercepts are excluded from
     all three statistics.
     """
-    reps = _check_int(reps, "reps", 2)
+    spec, reps = _check_record(spec, SyntheticSpec, "spec"), _check_int(reps, "reps", 2)
     w_true = true_weights(spec.model_id)
     fits = np.empty((reps, N_FEATURES))
     for r in range(reps):
@@ -188,7 +192,7 @@ def slice_into_chunks(dataset: Dataset, m: int, rng) -> list[Dataset]:
     seeds >= 0 (one or a sequence).
     """
     m = _check_int(m, "m", 1)
-    if dataset.n_rows < m:
+    if _check_record(dataset, Dataset, "dataset").n_rows < m:
         raise InsufficientDataError(f"cannot slice {dataset.n_rows} rows into {m} chunks")
     size = dataset.n_rows // m
     parts = _check_rng(rng).permutation(dataset.n_rows)[: m * size].reshape(m, size)
@@ -209,8 +213,8 @@ def compute_metrics(predictions, targets, classification: bool = False) -> Metri
     Predicted labels are sign(prediction) with sign(0) counted as +1.  With
     ``classification``, a target other than -1 or +1 raises InvalidDataError.
     """
-    pred = np.asarray(predictions, dtype=float).ravel()
-    targ = np.asarray(targets, dtype=float).ravel()
+    pred = _float_array(predictions, "predictions").ravel()
+    targ = _float_array(targets, "targets").ravel()
     if pred.shape != targ.shape:
         raise ShapeError(f"length mismatch: {pred.shape[0]} vs {targ.shape[0]}")
     if pred.shape[0] < 1:

@@ -64,7 +64,9 @@ from .linear import (
     _check_int,
     _check_lam,
     _check_order,
+    _check_record,
     _finite_array,
+    _float_array,
     _tikhonov_filter,
 )
 
@@ -140,8 +142,7 @@ class KernelModel:
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
     """Evaluate the kernel on a single pair of vectors, as a 1 x 1 ``kernel_matrix``."""
-    av = np.asarray(a, dtype=float).ravel()
-    bv = np.asarray(b, dtype=float).ravel()
+    av, bv = _float_array(a, "a").ravel(), _float_array(b, "b").ravel()
     return float(kernel_matrix(spec, av[None], bv[None])[0, 0])
 
 
@@ -171,8 +172,7 @@ def kernel_matrix(spec: KernelSpec, rows_a, rows_b) -> np.ndarray:
     exactly symmetric and the Gaussian diagonal is exactly one.  Raises
     InvalidDataError if any entry is not finite.
     """
-    a = np.asarray(rows_a, dtype=float)
-    b = np.asarray(rows_b, dtype=float)
+    a, b = _float_array(rows_a, "rows_a"), _float_array(rows_b, "rows_b")
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] < 1:
         raise ShapeError("kernel_matrix expects 2-d row matrices with at least one column")
     if a.shape[1] != b.shape[1]:
@@ -205,7 +205,7 @@ def median_bandwidth(rows) -> float:
     as the mean of the two middle values.  A NaN or inf entry, or a
     squared distance that overflows, raises InvalidDataError.
     """
-    a = np.asarray(rows, dtype=float)
+    a = _float_array(rows, "rows")
     if a.ndim != 2 or a.shape[1] < 1:
         raise ShapeError("median_bandwidth expects a 2-d row matrix with at least one column")
     n = a.shape[0]
@@ -233,7 +233,8 @@ class _KernelBlock:
     """
 
     def __init__(self, dataset: Dataset, spec: KernelSpec):
-        self.dataset, self.spec = dataset, spec
+        self.dataset = _check_record(dataset, Dataset, "dataset")
+        self.spec = _check_record(spec, KernelSpec, "spec")
 
     @cached_property
     def eig(self):
@@ -253,14 +254,6 @@ class _KernelBlock:
         if not np.isfinite(out).all():
             raise InvalidDataError("kernel fit coefficients contain non-finite values")
         return out
-
-    def fit(self, lam: float, order: int) -> KernelModel:
-        """The order-k fit at lambda, as a KernelModel of ``coeffs``."""
-        lam, order = _check_lam(lam), _check_order(order)
-        (coeffs,) = self.coeffs(lam, [order])
-        return KernelModel(
-            centers=self.dataset.features, coeffs=coeffs, spec=self.spec, lam=lam, order=order
-        )
 
     def cross(self, rows: np.ndarray) -> np.ndarray:
         """Kernel values between ``rows`` and the block's rows, shape (m, n).
@@ -309,7 +302,9 @@ def fit_kernel_regularized(
     dataset: Dataset, spec: KernelSpec, lam: float, order: int = 0
 ) -> KernelModel:
     """Fit the kernel network (order 0) or its order-k bias-corrected variant."""
-    return _KernelBlock(dataset, spec).fit(lam, order)
+    lam, order = _check_lam(lam), _check_order(order)
+    (coeffs,) = _KernelBlock(dataset, spec).coeffs(lam, [order])
+    return KernelModel(centers=dataset.features, coeffs=coeffs, spec=spec, lam=lam, order=order)
 
 
 def predict_kernel(model: KernelModel, rows) -> np.ndarray:

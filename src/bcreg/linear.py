@@ -101,18 +101,31 @@ def _check_rng(value) -> np.random.Generator:
         ) from None
 
 
-def _finite_array(value, ndim: int, name: str) -> np.ndarray:
-    """A read-only float copy of ``value``, if it is a finite ``ndim``-d numeric array."""
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, not copied if it is one; strings or ragged rows raise."""
     try:
-        a = np.array(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidDataError(f"{name} must be numeric: {exc}") from None
+
+
+def _finite_array(value, ndim: int, name: str) -> np.ndarray:
+    """A read-only float copy of ``value``, if it is a finite ``ndim``-d numeric array."""
+    a = np.array(_float_array(value, name))
     if a.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise InvalidDataError(f"{name} contains non-finite values")
     a.flags.writeable = False
     return a
+
+
+def _check_record(value, kind: type, name: str, optional: bool = False):
+    """``value``, if it is a ``kind`` (or None, if ``optional``); else InvalidParameterError."""
+    if not (isinstance(value, kind) or (optional and value is None)):
+        wanted = kind.__name__ + (" or None" if optional else "")
+        raise InvalidParameterError(f"{name} must be a {wanted}, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -225,6 +238,7 @@ def center(dataset: Dataset) -> CenteredStats:
     sample covariance and the cross moment (1/n) Xc' yc of the centered
     data.
     """
+    _check_record(dataset, Dataset, "dataset")
     return CenteredStats(*_centered_arrays(dataset.features, dataset.targets))
 
 
@@ -301,7 +315,7 @@ def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel
         Number of bias-correction steps; 0 is plain ridge.
     """
     lam, order = _check_lam(lam), _check_order(order)
-    if dataset.n_rows < 2:
+    if _check_record(dataset, Dataset, "dataset").n_rows < 2:
         raise InsufficientDataError("fitting needs at least two rows")
     x_mean, y_mean, cov, cross = _centered_arrays(dataset.features, dataset.targets)
     w = _tikhonov(cov, cross, lam, order)
@@ -332,7 +346,7 @@ def _holdout_residuals(dataset: Dataset, folds, grid: np.ndarray):
 
 def _as_rows(features, p: int) -> np.ndarray:
     """Coerce prediction input to (m, p); a length-p vector means one row."""
-    x = np.asarray(features, dtype=float)
+    x = _float_array(features, "features")
     if x.ndim == 1:
         if x.shape[0] != p:
             raise ShapeError(f"expected {p} feature columns, got vector of length {x.shape[0]}")
@@ -369,5 +383,5 @@ def asymptotic_bias(profile: SpectrumProfile, lam: float, order: int = 0) -> flo
     component-wise residual shrinkage left after k correction steps.
     """
     lam, order = _check_lam(lam), _check_order(order)
-    shrink = lam / (lam + profile.eigenvalues)
+    shrink = lam / (lam + _check_record(profile, SpectrumProfile, "profile").eigenvalues)
     return float(np.sqrt(np.sum(profile.coords**2 * shrink ** (2 * (order + 1)))))

@@ -42,6 +42,7 @@ from .linear import (
     _check_int,
     _check_lam,
     _check_order,
+    _check_record,
     _check_rng,
     _finite_array,
     _holdout_residuals,
@@ -201,12 +202,9 @@ def cv_folds(n: int, folds: int, rng) -> list[np.ndarray]:
 def _check_inputs(datasets, cv, kernel_spec) -> None:
     """The argument types of ``select_lambda_cv`` and ``run_block_stream``, checked at the call."""
     for d in datasets:
-        if not isinstance(d, Dataset):
-            raise InvalidParameterError(f"expected a Dataset, got {type(d).__name__}")
-    if not isinstance(cv, CvConfig):
-        raise InvalidParameterError(f"cv must be a CvConfig, got {cv!r}")
-    if not isinstance(kernel_spec, (KernelSpec, type(None))):
-        raise InvalidParameterError(f"kernel_spec must be a KernelSpec or None: {kernel_spec!r}")
+        _check_record(d, Dataset, "dataset")
+    _check_record(cv, CvConfig, "cv")
+    _check_record(kernel_spec, KernelSpec, "kernel_spec", optional=True)
 
 
 def select_lambda_cv(

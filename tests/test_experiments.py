@@ -1,5 +1,8 @@
 """Generator and Monte-Carlo harness tests."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,15 +23,23 @@ from bcreg import (
     ShapeError,
     SyntheticSpec,
     algorithm_label,
+    asymptotic_bias,
     average_update,
+    center,
     compute_metrics,
     cv_folds,
     feature_variances,
     filter_factor,
+    fit_kernel_regularized,
     fit_regularized,
+    kernel_eval,
+    kernel_matrix,
+    median_bandwidth,
     monte_carlo_bias_variance,
     noise_variance,
     predict_averaged,
+    predict_kernel,
+    predict_linear,
     run_block_stream,
     select_lambda_cv,
     signal_variance,
@@ -38,6 +49,7 @@ from bcreg import (
     synth_nonlinear_block,
     true_weights,
 )
+from bcreg.cli import write_csv_dataset
 from bcreg.experiments import _NONLINEAR_SIGNAL_VARIANCE
 
 
@@ -255,6 +267,20 @@ def _stream_with_seed(seed):
     return run_block_stream([_block()], [0], _block(), seed=seed)
 
 
+def _write_csv_to_empty_dir(dataset):
+    """``write_csv_dataset`` into an empty directory; its error propagates, and no file is left."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        try:
+            write_csv_dataset(dataset, path)
+        finally:
+            assert not os.path.exists(path)
+
+
+_GAUSS = KernelSpec.gaussian(1.0)
+_RAGGED = [[1.0, 2.0], [1.0]]
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -336,6 +362,34 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: synth_nonlinear_block(10, None), InvalidParameterError),
         (lambda: run_block_stream(_block(), [0], _block()), InvalidParameterError),
         (lambda: run_block_stream(3, [0], _block()), InvalidParameterError),
+        (lambda: kernel_matrix(_GAUSS, "abc", [[1.0]]), InvalidDataError),
+        (lambda: kernel_matrix(_GAUSS, [[1.0, 2.0]], _RAGGED), InvalidDataError),
+        (lambda: median_bandwidth("abc"), InvalidDataError),
+        (lambda: median_bandwidth(_RAGGED), InvalidDataError),
+        (lambda: kernel_eval(_GAUSS, "abc", [1.0]), InvalidDataError),
+        (lambda: kernel_eval(_GAUSS, [1.0, 2.0], _RAGGED), InvalidDataError),
+        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0, 1.0, 0), "abc"), InvalidDataError),
+        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0, 1.0, 0), _RAGGED),
+         InvalidDataError),
+        (lambda: predict_kernel(fit_kernel_regularized(_block(), _GAUSS, 0.1), "abc"),
+         InvalidDataError),
+        (lambda: predict_kernel(fit_kernel_regularized(_block(), _GAUSS, 0.1), _RAGGED),
+         InvalidDataError),
+        (lambda: compute_metrics("abc", [1.0]), InvalidDataError),
+        (lambda: compute_metrics(_RAGGED, [1.0, 2.0, 1.0]), InvalidDataError),
+        (lambda: fit_regularized((_block().features, _block().targets), 0.1),
+         InvalidParameterError),
+        (lambda: center(_block().features), InvalidParameterError),
+        (lambda: fit_kernel_regularized((_block().features, _block().targets), _GAUSS, 0.1),
+         InvalidParameterError),
+        (lambda: fit_kernel_regularized(_block(), "gaussian", 0.1), InvalidParameterError),
+        (lambda: slice_into_chunks((_block().features, _block().targets), 2, 0),
+         InvalidParameterError),
+        (lambda: _write_csv_to_empty_dir(_block().features), InvalidParameterError),
+        (lambda: synth_block("model1"), InvalidParameterError),
+        (lambda: noise_variance("model1"), InvalidParameterError),
+        (lambda: monte_carlo_bias_variance("model1", 0.1, 0, reps=2), InvalidParameterError),
+        (lambda: asymptotic_bias("model1", 0.1), InvalidParameterError),
     ],
     ids=[
         "bandwidth-str", "offset-str", "spec-snr-none", "nonlinear-snr-str",
@@ -350,6 +404,13 @@ def test_non_integer_counts_are_parameter_errors(call):
         "folds-rng-tuple-negative", "folds-rng-ragged", "folds-rng-bytes",
         "folds-rng-seed-sequence", "synth-rng-str",
         "nonlinear-rng-none", "stream-blocks-dataset", "stream-blocks-int",
+        "kernel-matrix-str", "kernel-matrix-ragged", "bandwidth-rows-str",
+        "bandwidth-rows-ragged", "kernel-eval-str", "kernel-eval-ragged",
+        "predict-linear-str", "predict-linear-ragged", "predict-kernel-str",
+        "predict-kernel-ragged", "metrics-str", "metrics-ragged", "fit-tuple",
+        "center-array", "kernel-fit-tuple", "kernel-fit-spec-str", "chunks-tuple",
+        "write-csv-array", "synth-spec-str", "noise-spec-str", "mc-spec-str",
+        "bias-profile-str",
     ],
 )
 def test_bad_boundary_values_raise_bcreg_errors(call, error):
