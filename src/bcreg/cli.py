@@ -41,7 +41,9 @@ from .experiments import (
     synth_nonlinear_block,
 )
 from .kernels import KERNEL_KINDS, KernelSpec, fit_kernel_regularized, median_bandwidth
-from .linear import Dataset, _check_float, _check_int, _check_order, _check_record, fit_regularized
+from .linear import (
+    Dataset, _check_float, _check_int, _check_items, _check_order, _check_record, fit_regularized,
+)
 from .streaming import DEFAULT_LAMBDA_GRID, CvConfig, _check_orders, run_block_stream
 
 __all__ = ["parse_csv_dataset", "write_csv_dataset", "build_parser", "main", "entry"]
@@ -102,7 +104,8 @@ def parse_csv_dataset(path) -> Dataset:
 def write_csv_dataset(dataset: Dataset, path, header=None) -> None:
     """Write a dataset as CSV with 17 significant digits (exact round trip)."""
     p = _check_record(dataset, Dataset, "dataset").n_features
-    names = list(header) if header is not None else [f"x{i + 1}" for i in range(p)] + ["y"]
+    names = [f"x{i + 1}" for i in range(p)] + ["y"] if header is None else _check_items(
+        header, functools.partial(_check_record, kind=str, name="header name"), "header")
     if len(names) != p + 1:
         raise ShapeError(f"header has {len(names)} names, expected {p + 1} (features plus target)")
     with open(path, "w", newline="", encoding="utf-8") as fh:

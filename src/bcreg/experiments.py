@@ -25,8 +25,8 @@ from .errors import (
     ShapeError,
 )
 from .linear import (
-    Dataset, SpectrumProfile, _check_float, _check_int, _check_record, _check_rng, _float_array,
-    fit_regularized,
+    Dataset, SpectrumProfile, _check_float, _check_int, _check_lam, _check_order, _check_record,
+    _check_rng, _float_array, _store, fit_regularized,
 )
 
 __all__ = [
@@ -61,9 +61,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.model_id not in MODEL_IDS:
             raise InvalidParameterError(f"unknown model_id {self.model_id!r}")
-        _check_int(self.n, "n", 1)
-        _check_float(self.snr, "snr", 0.0)
-        _check_int(self.seed, "seed", 0)
+        _store(self, n=_check_int(self.n, "n", 1), snr=_check_float(self.snr, "snr", 0.0),
+               seed=_check_int(self.seed, "seed", 0))
 
 
 def true_weights(model_id: str) -> np.ndarray:
@@ -163,6 +162,7 @@ def monte_carlo_bias_variance(
     all three statistics.
     """
     spec, reps = _check_record(spec, SyntheticSpec, "spec"), _check_int(reps, "reps", 2)
+    lam, order = _check_lam(lam), _check_order(order)
     w_true = true_weights(spec.model_id)
     fits = np.empty((reps, N_FEATURES))
     for r in range(reps):
@@ -178,8 +178,8 @@ def monte_carlo_bias_variance(
         mse=mse,
         reps=reps,
         n=spec.n,
-        lam=float(lam),
-        order=int(order),
+        lam=lam,
+        order=order,
         model_id=spec.model_id,
     )
 
@@ -213,10 +213,9 @@ def compute_metrics(predictions, targets, classification: bool = False) -> Metri
     Predicted labels are sign(prediction) with sign(0) counted as +1.  With
     ``classification``, a target other than -1 or +1 raises InvalidDataError.
     """
-    pred = _float_array(predictions, "predictions").ravel()
-    targ = _float_array(targets, "targets").ravel()
-    if pred.shape != targ.shape:
-        raise ShapeError(f"length mismatch: {pred.shape[0]} vs {targ.shape[0]}")
+    pred, targ = _float_array(predictions, "predictions"), _float_array(targets, "targets")
+    if pred.ndim != 1 or pred.shape != targ.shape:
+        raise ShapeError(f"need 1-d arrays of equal length, got shapes {pred.shape}, {targ.shape}")
     if pred.shape[0] < 1:
         raise ShapeError("metrics need at least one value")
     mse = float(np.mean((pred - targ) ** 2))

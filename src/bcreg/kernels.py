@@ -67,6 +67,7 @@ from .linear import (
     _check_record,
     _finite_array,
     _float_array,
+    _store,
     _tikhonov_filter,
 )
 
@@ -101,10 +102,10 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian":
-            _check_float(self.bandwidth, "gaussian kernel bandwidth", 0.0)
+            _store(self, bandwidth=_check_float(self.bandwidth, "gaussian kernel bandwidth", 0.0))
         if self.kind == "polynomial":
-            _check_int(self.degree, "polynomial kernel degree", 1)
-            _check_float(self.offset, "polynomial offset")
+            _store(self, degree=_check_int(self.degree, "polynomial kernel degree", 1),
+                   offset=_check_float(self.offset, "polynomial offset"))
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
@@ -134,16 +135,13 @@ class KernelModel:
         coeffs = _finite_array(self.coeffs, 1, "coeffs")
         if centers.shape[0] != coeffs.shape[0]:
             raise ShapeError("coeffs length must match center count")
-        _check_lam(self.lam)
-        _check_order(self.order)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "coeffs", coeffs)
+        _store(self, centers=centers, coeffs=coeffs, lam=_check_lam(self.lam),
+               order=_check_order(self.order))
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
     """Evaluate the kernel on a single pair of vectors, as a 1 x 1 ``kernel_matrix``."""
-    av, bv = _float_array(a, "a").ravel(), _float_array(b, "b").ravel()
-    return float(kernel_matrix(spec, av[None], bv[None])[0, 0])
+    return float(kernel_matrix(spec, [a], [b])[0, 0])
 
 
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,6 +170,7 @@ def kernel_matrix(spec: KernelSpec, rows_a, rows_b) -> np.ndarray:
     exactly symmetric and the Gaussian diagonal is exactly one.  Raises
     InvalidDataError if any entry is not finite.
     """
+    _check_record(spec, KernelSpec, "spec")
     a, b = _float_array(rows_a, "rows_a"), _float_array(rows_b, "rows_b")
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] < 1:
         raise ShapeError("kernel_matrix expects 2-d row matrices with at least one column")
@@ -234,7 +233,7 @@ class _KernelBlock:
 
     def __init__(self, dataset: Dataset, spec: KernelSpec):
         self.dataset = _check_record(dataset, Dataset, "dataset")
-        self.spec = _check_record(spec, KernelSpec, "spec")
+        self.spec = spec  # checked by kernel_matrix
 
     @cached_property
     def eig(self):
@@ -309,5 +308,6 @@ def fit_kernel_regularized(
 
 def predict_kernel(model: KernelModel, rows) -> np.ndarray:
     """Evaluate the kernel expansion on m rows, returning length-m output."""
+    _check_record(model, KernelModel, "model")
     cross = kernel_matrix(model.spec, _as_rows(rows, model.centers.shape[1]), model.centers)
     return cross @ model.coeffs

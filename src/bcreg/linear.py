@@ -47,6 +47,7 @@ __all__ = [
     "Dataset",
     "CenteredStats",
     "LinearModel",
+    "AveragedLinearModel",
     "SpectrumProfile",
     "center",
     "fit_regularized",
@@ -57,9 +58,9 @@ __all__ = [
 
 
 def _check_float(value, name: str, low: float = -math.inf, closed: bool = False) -> float:
-    """``value`` as a float, if it is a real number (no string), finite and > low (>= if closed)."""
+    """``value`` as a float, if a real number (not a bool), finite and > low (>= if closed)."""
     x = float(value) if isinstance(value, numbers.Real) else math.nan
-    if not (math.isfinite(x) and (x >= low if closed else x > low)):
+    if isinstance(value, bool) or not (math.isfinite(x) and (x >= low if closed else x > low)):
         bound = "" if low == -math.inf else f" {'>=' if closed else '>'} {low:g}"
         raise InvalidParameterError(f"{name} must be a finite number{bound}, got {value!r}")
     return x
@@ -69,12 +70,12 @@ _check_lam = partial(_check_float, name="lambda", low=0.0)
 
 
 def _check_int(value, name: str, low: int) -> int:
-    """``value`` as an int, if it is an integer (not a float) >= ``low``."""
+    """``value`` as an int, if it is an integer (not a float or bool) >= ``low``."""
     try:
         k = operator.index(value)
     except TypeError:
         k = low - 1
-    if k < low:
+    if k < low or isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
     return k
 
@@ -82,10 +83,21 @@ def _check_int(value, name: str, low: int) -> int:
 _check_order = partial(_check_int, name="order", low=0)
 
 
+def _check_items(value, rule, name: str) -> tuple:
+    """The items of ``value`` (a nonempty sequence, not a string), each passed through ``rule``."""
+    seq = np.iterable(value) and not isinstance(value, (str, bytes))
+    items = tuple(map(rule, value)) if seq else ()
+    if not items:
+        raise InvalidParameterError(
+            f"{name} must be a nonempty sequence, got {type(value).__name__}"
+        )
+    return items
+
+
 def _seed_tuple(seed) -> tuple[int, ...]:
-    """A seed or sequence of seeds as a tuple of integers >= 0."""
+    """A seed or nonempty sequence of seeds as a tuple of integers >= 0."""
     seeds = seed if np.iterable(seed) and not isinstance(seed, (str, bytes)) else (seed,)
-    return tuple(_check_int(s, "seed", 0) for s in seeds)
+    return _check_items(seeds, partial(_check_int, name="seed", low=0), "seed")
 
 
 def _check_rng(value) -> np.random.Generator:
@@ -120,12 +132,19 @@ def _finite_array(value, ndim: int, name: str) -> np.ndarray:
     return a
 
 
-def _check_record(value, kind: type, name: str, optional: bool = False):
-    """``value``, if it is a ``kind`` (or None, if ``optional``); else InvalidParameterError."""
+def _check_record(value, kind, name: str, optional: bool = False):
+    """``value``, if it is a ``kind`` (a type or tuple of types), or None if ``optional``."""
     if not (isinstance(value, kind) or (optional and value is None)):
-        wanted = kind.__name__ + (" or None" if optional else "")
+        kinds = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+        wanted = " or ".join(kinds + ["None"] * optional)
         raise InvalidParameterError(f"{name} must be a {wanted}, got {type(value).__name__}")
     return value
+
+
+def _store(record, **checked) -> None:
+    """Set the fields of a frozen record to the values its checks returned."""
+    for name, value in checked.items():
+        object.__setattr__(record, name, value)
 
 
 @dataclass(frozen=True)
@@ -144,8 +163,7 @@ class Dataset:
             )
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise InsufficientDataError("dataset needs at least one row and one column")
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "targets", y)
+        _store(self, features=x, targets=y)
 
     @property
     def n_rows(self) -> int:
@@ -166,9 +184,9 @@ class CenteredStats:
     cross: np.ndarray  # (p,), (1/n) Xc' yc
 
     def __post_init__(self):
-        for name, ndim in (("x_mean", 1), ("cov", 2), ("cross", 1)):
-            object.__setattr__(self, name, _finite_array(getattr(self, name), ndim, name))
-        object.__setattr__(self, "y_mean", _check_float(self.y_mean, "y_mean"))
+        arrays = {name: _finite_array(getattr(self, name), ndim, name)
+                  for name, ndim in (("x_mean", 1), ("cov", 2), ("cross", 1))}
+        _store(self, **arrays, y_mean=_check_float(self.y_mean, "y_mean"))
         p = self.x_mean.shape[0]
         if self.cov.shape != (p, p) or self.cross.shape != (p,):
             raise ShapeError(f"cov must be ({p}, {p}) and cross ({p},) for {p} feature means")
@@ -188,10 +206,23 @@ class LinearModel:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _finite_array(self.weights, 1, "weights"))
-        _check_float(self.intercept, "intercept")
-        _check_lam(self.lam)
-        _check_order(self.order)
+        _store(self, weights=_finite_array(self.weights, 1, "weights"),
+               intercept=_check_float(self.intercept, "intercept"),
+               lam=_check_lam(self.lam), order=_check_order(self.order))
+
+
+@dataclass(frozen=True)
+class AveragedLinearModel:
+    """Running average of linear base fits; itself an affine predictor."""
+
+    weights: np.ndarray
+    intercept: float
+    count: int
+
+    def __post_init__(self):
+        _store(self, weights=_finite_array(self.weights, 1, "weights"),
+               intercept=_check_float(self.intercept, "intercept"),
+               count=_check_int(self.count, "count", 1))
 
 
 @dataclass(frozen=True)
@@ -208,8 +239,7 @@ class SpectrumProfile:
             raise ShapeError("eigenvalues and coords must be vectors of equal length")
         if np.any(sig <= 0):
             raise InvalidParameterError("eigenvalues must be strictly positive")
-        object.__setattr__(self, "eigenvalues", sig)
-        object.__setattr__(self, "coords", c)
+        _store(self, eigenvalues=sig, coords=c)
 
 
 def _centered_arrays(x: np.ndarray, y: np.ndarray):
@@ -356,8 +386,9 @@ def _as_rows(features, p: int) -> np.ndarray:
     return x
 
 
-def predict_linear(model: LinearModel, features) -> np.ndarray:
+def predict_linear(model: LinearModel | AveragedLinearModel, features) -> np.ndarray:
     """Evaluate the affine predictor on m rows, returning length-m output."""
+    _check_record(model, (LinearModel, AveragedLinearModel), "model")
     x = _as_rows(features, model.weights.shape[0])
     return x @ model.weights + model.intercept
 

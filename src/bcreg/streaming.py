@@ -36,24 +36,24 @@ from .errors import (
 from .experiments import Metrics, compute_metrics
 from .kernels import KernelModel, KernelSpec, _KernelBlock, predict_kernel
 from .linear import (
+    AveragedLinearModel,
     Dataset,
     LinearModel,
-    _check_float,
     _check_int,
+    _check_items,
     _check_lam,
     _check_order,
     _check_record,
     _check_rng,
-    _finite_array,
     _holdout_residuals,
     _seed_tuple,
+    _store,
     fit_regularized,
     predict_linear,
 )
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
-    "AveragedLinearModel",
     "AveragedKernelModel",
     "CvConfig",
     "StreamReport",
@@ -70,20 +70,6 @@ DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6, 2, 25))
 
 
 @dataclass(frozen=True)
-class AveragedLinearModel:
-    """Running average of linear base fits; itself an affine predictor."""
-
-    weights: np.ndarray
-    intercept: float
-    count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _finite_array(self.weights, 1, "weights"))
-        _check_float(self.intercept, "intercept")
-        _check_int(self.count, "count", 1)
-
-
-@dataclass(frozen=True)
 class AveragedKernelModel:
     """Running average of kernel base fits, kept as the full model list.
 
@@ -95,11 +81,9 @@ class AveragedKernelModel:
     models: tuple[KernelModel, ...]
 
     def __post_init__(self):
-        models = tuple(self.models) if np.iterable(self.models) else ()
-        _check_int(len(models), "count", 1)
-        if not all(isinstance(m, KernelModel) for m in models):
+        _store(self, models=_check_items(self.models, lambda m: m, "models"))
+        if not all(isinstance(m, KernelModel) for m in self.models):
             raise InvalidStateError("an AveragedKernelModel averages KernelModel fits only")
-        object.__setattr__(self, "models", models)
 
     @property
     def count(self) -> int:
@@ -173,13 +157,8 @@ class CvConfig:
     folds: int = 10
 
     def __post_init__(self):
-        grid = tuple(map(_check_lam, self.grid)) if np.iterable(self.grid) else ()
-        if not grid:
-            raise InvalidParameterError(
-                f"lambda grid must be a nonempty sequence of numbers, got {self.grid!r}"
-            )
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "folds", _check_int(self.folds, "folds", 2))
+        _store(self, grid=_check_items(self.grid, _check_lam, "lambda grid"),
+               folds=_check_int(self.folds, "folds", 2))
 
 
 def cv_folds(n: int, folds: int, rng) -> list[np.ndarray]:
@@ -199,10 +178,9 @@ def cv_folds(n: int, folds: int, rng) -> list[np.ndarray]:
     return [*np.sort(long, axis=1), *np.sort(short, axis=1)]
 
 
-def _check_inputs(datasets, cv, kernel_spec) -> None:
+def _check_inputs(dataset, cv, kernel_spec) -> None:
     """The argument types of ``select_lambda_cv`` and ``run_block_stream``, checked at the call."""
-    for d in datasets:
-        _check_record(d, Dataset, "dataset")
+    _check_record(dataset, Dataset, "dataset")
     _check_record(cv, CvConfig, "cv")
     _check_record(kernel_spec, KernelSpec, "kernel_spec", optional=True)
 
@@ -229,7 +207,7 @@ def select_lambda_cv(
     group.  A kernel that is not positive semi-definite raises
     DegenerateDataError.
     """
-    _check_inputs([dataset], cv, kernel_spec)
+    _check_inputs(dataset, cv, kernel_spec)
     rng = _check_rng(rng)
     if kernel_spec is None:
         holdout = partial(_holdout_residuals, dataset)
@@ -278,9 +256,7 @@ class StreamReport:
 
 def _check_orders(orders) -> tuple[int, ...]:
     """A stream's correction orders: a nonempty sequence of distinct integers >= 0."""
-    checked = tuple(map(_check_order, orders)) if np.iterable(orders) else ()
-    if not checked:
-        raise InvalidParameterError(f"orders must be a nonempty list of integers, got {orders!r}")
+    checked = _check_items(orders, _check_order, "orders")
     if len(set(checked)) != len(checked):
         raise InvalidParameterError(f"orders must not repeat: each may appear once, got {orders!r}")
     return checked
@@ -309,15 +285,9 @@ def run_block_stream(
     test-set metrics at step t are those of sum / t.  Returns one series
     per algorithm label (a ``StreamReport``).  Deterministic given ``seed``.
     """
-    if not np.iterable(blocks):
-        raise InvalidParameterError(
-            f"blocks must be an iterable of Datasets, got {type(blocks).__name__}"
-        )
-    blocks = list(blocks)
-    if not blocks:
-        raise InsufficientDataError("need at least one block")
+    blocks = _check_items(blocks, partial(_check_record, kind=Dataset, name="block"), "blocks")
     orders = _check_orders(orders)
-    _check_inputs([*blocks, test], cv, kernel_spec)
+    _check_inputs(test, cv, kernel_spec)
     labels = [algorithm_label("linear" if kernel_spec is None else "kernel", k) for k in orders]
     p = blocks[0].n_features
     for i, b in enumerate(blocks):

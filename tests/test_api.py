@@ -17,10 +17,10 @@ PUBLIC_NAMES = {
     "KernelModel", "KernelSpec", "fit_kernel_regularized", "kernel_eval",
     "kernel_matrix", "median_bandwidth", "predict_kernel",
     # linear
-    "CenteredStats", "Dataset", "LinearModel", "SpectrumProfile",
+    "AveragedLinearModel", "CenteredStats", "Dataset", "LinearModel", "SpectrumProfile",
     "asymptotic_bias", "center", "filter_factor", "fit_regularized", "predict_linear",
     # streaming
-    "DEFAULT_LAMBDA_GRID", "AveragedKernelModel", "AveragedLinearModel",
+    "DEFAULT_LAMBDA_GRID", "AveragedKernelModel",
     "CvConfig", "StreamReport", "algorithm_label",
     "average_update", "cv_folds", "predict_averaged", "run_block_stream",
     "select_lambda_cv",

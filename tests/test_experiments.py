@@ -1,5 +1,7 @@
 """Generator and Monte-Carlo harness tests."""
 
+import dataclasses
+import json
 import os
 import tempfile
 
@@ -267,12 +269,12 @@ def _stream_with_seed(seed):
     return run_block_stream([_block()], [0], _block(), seed=seed)
 
 
-def _write_csv_to_empty_dir(dataset):
+def _write_csv_to_empty_dir(dataset, header=None):
     """``write_csv_dataset`` into an empty directory; its error propagates, and no file is left."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")
         try:
-            write_csv_dataset(dataset, path)
+            write_csv_dataset(dataset, path, header=header)
         finally:
             assert not os.path.exists(path)
 
@@ -299,12 +301,13 @@ _RAGGED = [[1.0, 2.0], [1.0]]
         lambda: average_update(
             None, fit_regularized(synth_block(SyntheticSpec("model1", n=10)), 0.1), 1.5
         ),
+        lambda: SyntheticSpec("model1", n=True),
     ],
     ids=[
         "spec-n-float", "spec-n-nan", "spec-seed-float", "spec-seed-negative",
         "nonlinear-n-float", "mc-reps-float", "chunks-m-float", "stream-seed-float",
         "stream-seed-tuple-float", "stream-seed-tuple-negative", "folds-n-float",
-        "folds-n-negative", "average-t-float",
+        "folds-n-negative", "average-t-float", "spec-n-bool",
     ],
 )
 def test_non_integer_counts_are_parameter_errors(call):
@@ -390,6 +393,17 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: noise_variance("model1"), InvalidParameterError),
         (lambda: monte_carlo_bias_variance("model1", 0.1, 0, reps=2), InvalidParameterError),
         (lambda: asymptotic_bias("model1", 0.1), InvalidParameterError),
+        (lambda: kernel_matrix("gaussian", [[1.0]], [[1.0]]), InvalidParameterError),
+        (lambda: kernel_eval("gaussian", [1.0], [1.0]), InvalidParameterError),
+        (lambda: predict_kernel("model", [[1.0]]), InvalidParameterError),
+        (lambda: predict_linear("model", [[1.0]]), InvalidParameterError),
+        (lambda: compute_metrics(np.zeros((2, 3)), np.arange(6.0)), ShapeError),
+        (lambda: kernel_eval(KernelSpec.linear(), [[1, 2], [3, 4]], [1, 1, 1, 1]), ShapeError),
+        (lambda: KernelSpec.gaussian(True), InvalidParameterError),
+        (lambda: fit_regularized(_block(), True), InvalidParameterError),
+        (lambda: _stream_with_seed([]), InvalidParameterError),
+        (lambda: cv_folds(10, 2, []), InvalidParameterError),
+        (lambda: _write_csv_to_empty_dir(_block(), header=5), InvalidParameterError),
     ],
     ids=[
         "bandwidth-str", "offset-str", "spec-snr-none", "nonlinear-snr-str",
@@ -410,7 +424,10 @@ def test_non_integer_counts_are_parameter_errors(call):
         "predict-kernel-ragged", "metrics-str", "metrics-ragged", "fit-tuple",
         "center-array", "kernel-fit-tuple", "kernel-fit-spec-str", "chunks-tuple",
         "write-csv-array", "synth-spec-str", "noise-spec-str", "mc-spec-str",
-        "bias-profile-str",
+        "bias-profile-str", "kernel-matrix-spec-str", "kernel-eval-spec-str",
+        "predict-kernel-model-str", "predict-linear-model-str", "metrics-2d",
+        "kernel-eval-2d", "bandwidth-bool", "fit-lambda-bool", "stream-seed-empty",
+        "folds-rng-empty", "write-csv-header-int",
     ],
 )
 def test_bad_boundary_values_raise_bcreg_errors(call, error):
@@ -418,3 +435,16 @@ def test_bad_boundary_values_raise_bcreg_errors(call, error):
     assert issubclass(error, BcregError)
     with pytest.raises(error):
         call()
+
+
+def test_records_keep_checked_values():
+    """A record stores what its checks return: Python floats and ints, not the raw argument."""
+    spec = KernelSpec.gaussian(np.float32(0.37))
+    assert type(spec.bandwidth) is float
+    rows = np.linspace(-1.0, 1.0, 6)[:, None]
+    exact = KernelSpec.gaussian(float(np.float32(0.37)))
+    np.testing.assert_array_equal(kernel_matrix(spec, rows, rows), kernel_matrix(exact, rows, rows))
+    report = monte_carlo_bias_variance(SyntheticSpec("model1", n=np.int64(30)), 0.1, 0, 3)
+    json.dumps(dataclasses.asdict(report))
+    model = LinearModel([1.0], np.float32(0.5), np.float32(0.5), np.int64(1))
+    assert [type(v) for v in (model.intercept, model.lam, model.order)] == [float, float, int]
