@@ -2,7 +2,7 @@
 
 Commands
 --------
-fit           fit one regularized model to a CSV dataset
+fit           fit ridge, or with --kernel a kernel network, to a CSV dataset
 bias-variance Monte-Carlo bias/variance of the synthetic benchmarks
 stream        block-streaming comparison of correction orders (linear)
 kernel-stream the same comparison with kernel models
@@ -133,14 +133,10 @@ _seed_arg = _usage(functools.partial(_check_int, name="seed", low=0))
 _orders_arg = _usage(_check_orders, lambda text: [int(t) for t in text.split(",") if t.strip()])
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    return values
+def _floats_arg(name: str):
+    """A nonempty comma-separated list of numbers, blanks skipped; range-checked where used."""
+    return _usage(functools.partial(_check_items, rule=float, name=name),
+                  lambda text: [float(t) for t in text.split(",") if t.strip()])
 
 
 def _bandwidth_policy(text: str):
@@ -161,8 +157,8 @@ def _add_output_args(sub) -> None:
     )
 
 
-def _add_kernel_args(sub) -> None:
-    sub.add_argument("--kernel", choices=KERNEL_KINDS, default="gaussian", help="kernel kind")
+def _add_kernel_args(sub, default) -> None:
+    sub.add_argument("--kernel", choices=KERNEL_KINDS, default=default, help="kernel kind")
     sub.add_argument(
         "--bandwidth", type=_bandwidth_policy, default="median",
         help="Gaussian bandwidth: 'median' (pairwise-distance heuristic) or a number",
@@ -182,7 +178,7 @@ def _add_stream_args(sub, blocks: int, block_size: int) -> None:
                      help="comma-separated correction orders to compare")
     sub.add_argument("--reps", type=int, default=1, help="repetitions to average over")
     sub.add_argument("--folds", type=int, default=10, help="CV folds per block")
-    sub.add_argument("--grid", type=_float_list, default=DEFAULT_LAMBDA_GRID,
+    sub.add_argument("--grid", type=_floats_arg("lambda grid"), default=DEFAULT_LAMBDA_GRID,
                      help="comma-separated lambda grid (default: 25 log-spaced in [1e-6, 1e2])")
     sub.add_argument("--snr", type=float, default=10.0)
     sub.add_argument("--classification", action="store_true",
@@ -198,20 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit one model to a CSV dataset")
+    p_fit = sub.add_parser("fit", help="fit ridge (or, with --kernel, a kernel network) to a CSV")
     p_fit.add_argument("--input", required=True, help="CSV dataset path")
     p_fit.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="regularization strength")
     p_fit.add_argument("--order", type=_usage(_check_order), default=0,
                        help="bias-correction order (0 = plain ridge)")
-    p_fit.add_argument("--family", choices=["linear", "kernel"], default="linear")
-    _add_kernel_args(p_fit)
+    _add_kernel_args(p_fit, None)
     _add_output_args(p_fit)
 
     p_bv = sub.add_parser("bias-variance",
                           help="Monte-Carlo bias/variance on a synthetic benchmark")
     p_bv.add_argument("--model", type=int, choices=[1, 2], required=True)
-    p_bv.add_argument("--lambda", dest="lam", type=_float_list, required=True,
+    p_bv.add_argument("--lambda", dest="lam", type=_floats_arg("lambdas"), required=True,
                       help="one value or a comma-separated sweep")
     p_bv.add_argument("--order", type=_usage(_check_order), default=0)
     p_bv.add_argument("--n", type=int, default=100, help="rows per dataset")
@@ -226,13 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="synthetic benchmark id")
     src.add_argument("--input", help="CSV dataset to slice into a stream")
     _add_stream_args(p_st, blocks=20, block_size=100)
+    p_st.set_defaults(kernel=None)
     _add_output_args(p_st)
 
     p_ks = sub.add_parser("kernel-stream",
                           help="block-streaming comparison, kernel family")
     p_ks.add_argument("--input", help="CSV dataset to slice (default: synthetic sine task)")
     _add_stream_args(p_ks, blocks=50, block_size=50)
-    _add_kernel_args(p_ks)
+    _add_kernel_args(p_ks, "gaussian")
     _add_output_args(p_ks)
 
     p_ch = sub.add_parser("chunks", help="slice a CSV dataset into equal-size chunks")
@@ -245,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_spec_from_args(args, rows) -> KernelSpec:
-    """Build the kernel, resolving a 'median' bandwidth from the given rows."""
+def _kernel_spec_from_args(args, rows) -> KernelSpec | None:
+    """Build the kernel, resolving a 'median' bandwidth from the given rows; None without one."""
+    if args.kernel is None:
+        return None
     if args.kernel == "linear":
         return KernelSpec.linear()
     if args.kernel == "polynomial":
@@ -262,9 +260,10 @@ def _cmd_fit(args):
         "input": args.input,
         "lambda": args.lam,
         "order": args.order,
-        "family": args.family,
+        "family": "linear" if args.kernel is None else "kernel",
     }
-    if args.family == "linear":
+    spec = _kernel_spec_from_args(args, dataset.features)
+    if spec is None:
         model = fit_regularized(dataset, args.lam, args.order)
         results = {
             "intercept": model.intercept,
@@ -273,7 +272,6 @@ def _cmd_fit(args):
         rows = [{"name": "intercept", "value": model.intercept}]
         rows += [{"name": f"w{i}", "value": float(w)} for i, w in enumerate(model.weights)]
     else:
-        spec = _kernel_spec_from_args(args, dataset.features)
         model = fit_kernel_regularized(dataset, spec, args.lam, args.order)
         config["kernel"] = dataclasses.asdict(spec)
         results = {"coeffs": [float(c) for c in model.coeffs]}
@@ -309,18 +307,18 @@ def _cmd_bias_variance(args):
     return config, reports, reports
 
 
-def _stream_data(args, family: str, full: Dataset | None, seed: tuple):
+def _stream_data(args, full: Dataset | None, seed: tuple):
     """One repetition's training blocks and test set.
 
     With --input, `full` is sliced into --blocks chunks and one random
     chunk becomes the test set.  Otherwise every block and the test set
-    are fresh draws from the family's synthetic task.
+    are fresh draws from the synthetic task of the family --kernel picks.
     """
     if full is not None:
         rng = np.random.default_rng((*seed, 2))
         blocks = slice_into_chunks(full, args.blocks, rng)
         return blocks, blocks.pop(int(rng.integers(args.blocks)))
-    if family == "linear":
+    if args.kernel is None:
         def draw(n, rng):
             spec = SyntheticSpec(model_id=f"model{args.model}", n=n, snr=args.snr)
             return synth_block(spec, rng=rng)
@@ -340,7 +338,7 @@ def _rep_mean(series) -> list[float]:
     return [float(v) for v in sum(arrays) / len(arrays)]
 
 
-def _run_stream_command(args, family: str):
+def _run_stream_command(args):
     _check_int(args.reps, "reps", 1)
     _check_int(args.blocks, "blocks", 1)
     if args.input:  # one chunk is the test set
@@ -350,13 +348,11 @@ def _run_stream_command(args, family: str):
 
     reports = []
     for rep in range(args.reps):
-        blocks, test = _stream_data(args, family, full, (args.seed, rep))
-        kernel_spec = (
-            _kernel_spec_from_args(args, blocks[0].features) if family == "kernel" else None
-        )
+        blocks, test = _stream_data(args, full, (args.seed, rep))
         reports.append(run_block_stream(
             blocks, args.orders, test, cv=cv, seed=(args.seed, rep),
-            classification=args.classification, kernel_spec=kernel_spec,
+            classification=args.classification,
+            kernel_spec=_kernel_spec_from_args(args, blocks[0].features),
         ))
 
     # metric -> column prefix in the CSV rows
@@ -373,7 +369,7 @@ def _run_stream_command(args, family: str):
 
     config = {
         "command": args.command,
-        "family": family,
+        "family": "linear" if args.kernel is None else "kernel",
         "model": getattr(args, "model", None),
         "input": args.input,
         "blocks": args.blocks,
@@ -386,13 +382,9 @@ def _run_stream_command(args, family: str):
         "snr": None if args.input else args.snr,
         "classification": args.classification,
     }
-    if family == "kernel":
-        config["kernel"] = {
-            "kind": args.kernel,
-            "bandwidth": args.bandwidth,
-            "degree": args.degree,
-            "offset": args.offset,
-        }
+    if args.kernel is not None:
+        config["kernel"] = {"kind": args.kernel, "bandwidth": args.bandwidth,
+                            "degree": args.degree, "offset": args.offset}
 
     rows = []
     for i, t in enumerate(results["t"]):
@@ -428,8 +420,8 @@ def _cmd_chunks(args):
 COMMANDS = {
     "fit": _cmd_fit,
     "bias-variance": _cmd_bias_variance,
-    "stream": functools.partial(_run_stream_command, family="linear"),
-    "kernel-stream": functools.partial(_run_stream_command, family="kernel"),
+    "stream": _run_stream_command,
+    "kernel-stream": _run_stream_command,
     "chunks": _cmd_chunks,
 }
 

@@ -23,8 +23,9 @@ in the kernel's function space.
 
 Bad input raises at the call: a lambda that is not finite and > 0, an
 order that is not an integer >= 0, a Gaussian bandwidth that is not
-finite and > 0, a polynomial degree that is not an integer >= 1, or a
-non-finite polynomial offset raises InvalidParameterError.
+finite and > 0, a polynomial degree that is not an integer >= 1, a
+non-finite polynomial offset, or a kernel field that the kind does not
+read and that is not at its default raises InvalidParameterError.
 ``kernel_matrix`` raises InvalidDataError when an entry overflows or is
 NaN, so nothing downstream (cross validation, fits, predictions) ever
 sees one.  A kernel that is not positive semi-definite (e.g. a
@@ -44,7 +45,7 @@ nonzero distance apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import groupby
 
@@ -101,11 +102,18 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
+        checked = {}
         if self.kind == "gaussian":
-            _store(self, bandwidth=_check_float(self.bandwidth, "gaussian kernel bandwidth", 0.0))
+            checked["bandwidth"] = _check_float(self.bandwidth, "gaussian kernel bandwidth", 0.0)
         if self.kind == "polynomial":
-            _store(self, degree=_check_int(self.degree, "polynomial kernel degree", 1),
-                   offset=_check_float(self.offset, "polynomial offset"))
+            checked["degree"] = _check_int(self.degree, "polynomial kernel degree", 1)
+            checked["offset"] = _check_float(self.offset, "polynomial offset")
+        unused = {f.name: f.default for f in fields(self)[1:] if f.name not in checked}
+        for name, default in unused.items():
+            value = getattr(self, name)
+            if not (value is default or isinstance(value, (int, float)) and value == default):
+                raise InvalidParameterError(f"a {self.kind} kernel takes no {name}, got {value!r}")
+        _store(self, **checked, **unused)
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
@@ -135,8 +143,9 @@ class KernelModel:
         coeffs = _finite_array(self.coeffs, 1, "coeffs")
         if centers.shape[0] != coeffs.shape[0]:
             raise ShapeError("coeffs length must match center count")
-        _store(self, centers=centers, coeffs=coeffs, lam=_check_lam(self.lam),
-               order=_check_order(self.order))
+        _store(self, centers=centers, coeffs=coeffs,
+               spec=_check_record(self.spec, KernelSpec, "spec"),
+               lam=_check_lam(self.lam), order=_check_order(self.order))
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:

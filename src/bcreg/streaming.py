@@ -136,17 +136,12 @@ def predict_averaged(model: AveragedModel, rows) -> np.ndarray:
     return sum(predict_kernel(m, rows) for m in model.models) / model.count
 
 
-# family -> series names of its order-0 and its bias-corrected fits
-_LABELS = {"linear": ("rr", "bcrr"), "kernel": ("rkn", "bcrkn")}
-
-
-def algorithm_label(family: str, order: int) -> str:
-    """Series name for reports: rr / bcrr / bcrr-k, rkn / bcrkn / bcrkn-k."""
-    base = _LABELS.get(family) if isinstance(family, str) else None
-    if base is None:
-        raise InvalidParameterError(f"unknown family {family!r}, expected 'linear' or 'kernel'")
+def algorithm_label(order: int, kernel_spec: KernelSpec | None = None) -> str:
+    """Series name: rr / bcrr / bcrr-k, or rkn / bcrkn / bcrkn-k with a ``kernel_spec``."""
+    ridge = _check_record(kernel_spec, KernelSpec, "kernel_spec", optional=True) is None
+    plain, corrected = ("rr", "bcrr") if ridge else ("rkn", "bcrkn")
     order = _check_order(order)
-    return base[0] if order == 0 else base[1] if order == 1 else f"{base[1]}-{order}"
+    return plain if order == 0 else corrected if order == 1 else f"{corrected}-{order}"
 
 
 @dataclass(frozen=True)
@@ -288,7 +283,7 @@ def run_block_stream(
     blocks = _check_items(blocks, partial(_check_record, kind=Dataset, name="block"), "blocks")
     orders = _check_orders(orders)
     _check_inputs(test, cv, kernel_spec)
-    labels = [algorithm_label("linear" if kernel_spec is None else "kernel", k) for k in orders]
+    labels = [algorithm_label(k, kernel_spec) for k in orders]
     p = blocks[0].n_features
     for i, b in enumerate(blocks):
         if b.n_features != p:

@@ -159,22 +159,27 @@ class TestFitCommand:
 
     def test_kernel_fit_with_median_bandwidth(self, tmp_path, capsys):
         path = write(tmp_path / "d.csv", "x,y\n0,1\n1,0\n2,1\n3,0\n")
-        rc = main(["fit", "--input", path, "--lambda", "0.1", "--family", "kernel"])
+        rc = main(["fit", "--input", path, "--lambda", "0.1", "--kernel", "gaussian"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["results"]["coeffs"]) == 4
         assert payload["config"]["kernel"]["bandwidth"] > 0
 
     def test_missing_file_is_operation_error(self, tmp_path, capsys):
-        rc = main(["fit", "--input", str(tmp_path / "nope.csv"), "--lambda", "1"])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        """A missing or empty input file exits 1 with an error line."""
+        empty = write(tmp_path / "empty.csv", "")
+        for path, message in ((str(tmp_path / "nope.csv"), ""),
+                              (empty, "empty file, expected a header row")):
+            rc = main(["fit", "--input", path, "--lambda", "1"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
 
     def test_non_psd_kernel_is_operation_error(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         rows = [f"{x:.17g},{y:.17g}" for x, y in rng.normal(size=(30, 2))]
         path = write(tmp_path / "d.csv", "x,y\n" + "\n".join(rows) + "\n")
-        rc = main(["fit", "--input", path, "--lambda", "1e-6", "--family", "kernel",
+        rc = main(["fit", "--input", path, "--lambda", "1e-6",
                    "--kernel", "polynomial", "--degree", "3", "--offset", "-5"])
         assert rc == 1
         err = capsys.readouterr().err
@@ -182,7 +187,7 @@ class TestFitCommand:
 
     def test_overflowing_median_bandwidth_is_operation_error(self, tmp_path, capsys):
         path = write(tmp_path / "d.csv", "x,y\n1e200,1\n-1e200,0\n0,1\n")
-        rc = main(["fit", "--input", path, "--lambda", "0.1", "--family", "kernel"])
+        rc = main(["fit", "--input", path, "--lambda", "0.1", "--kernel", "gaussian"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "pairwise distance is not finite" in err
@@ -205,7 +210,8 @@ class TestUsageErrors:
             main(["bias-variance", "--model", "1", "--lambda", "0.1", "--seed", "-3"])
 
     def test_bad_seed_and_order_are_usage_errors(self, tmp_path, capsys):
-        """--seed, --order and --orders go through the library's checks; a failure exits 2."""
+        """--seed, --order, --orders and --grid go through the library's checks; a failure
+        exits 2, as does fit's removed --family (the --kernel choice picks the family)."""
         bv = ["bias-variance", "--model", "1", "--lambda", "0.1"]
         cases = [
             (["stream", "--model", "1", "--seed", "-1"], "seed must be an integer >= 0"),
@@ -218,6 +224,10 @@ class TestUsageErrors:
             (["stream", "--model", "1", "--orders", "0,-1"], "order must be an integer >= 0"),
             (["kernel-stream", "--orders", ","], "nonempty"),
             (["kernel-stream", "--orders", "0,x"], "invalid literal"),
+            (["stream", "--model", "1", "--grid", "x"], "could not convert string to float"),
+            (["kernel-stream", "--grid", ","], "nonempty"),
+            (["fit", "--input", "x.csv", "--lambda", "1", "--family", "linear"],
+             "unrecognized arguments: --family"),
         ]
         for argv, message in cases:
             with pytest.raises(SystemExit) as exc:
@@ -252,14 +262,14 @@ class TestUsageErrors:
     def test_stream_count_checks_raise_parameter_errors(self, spam_like):
         """--reps and --blocks out of range raise InvalidParameterError, not the base class."""
         cases = [
-            (["stream", "--model", "1", "--reps", "0"], "linear", "reps must be an integer >= 1"),
-            (["kernel-stream", "--blocks", "0"], "kernel", "blocks must be an integer >= 1"),
-            (["stream", "--input", spam_like, "--blocks", "1"], "linear",
+            (["stream", "--model", "1", "--reps", "0"], "reps must be an integer >= 1"),
+            (["kernel-stream", "--blocks", "0"], "blocks must be an integer >= 1"),
+            (["stream", "--input", spam_like, "--blocks", "1"],
              "with --input, blocks must be an integer >= 2"),
         ]
-        for argv, family, message in cases:
+        for argv, message in cases:
             with pytest.raises(InvalidParameterError, match=message):
-                _run_stream_command(_parser().parse_args(argv), family)
+                _run_stream_command(_parser().parse_args(argv))
 
     def test_module_entry_point(self):
         proc = run_module("--help")
@@ -283,7 +293,7 @@ class TestUsageErrors:
             ["-c", "import bcreg, bcreg.cli"],
             ["-m", "bcreg", "--help"],
             ["-m", "bcreg", "kernel-stream", *tiny],
-            ["-m", "bcreg", "fit", "--family", "kernel", "--bandwidth", "median",
+            ["-m", "bcreg", "fit", "--kernel", "gaussian", "--bandwidth", "median",
              "--input", data, "--lambda", "0.1", "--out", out],
         ]
         linear = [["-m", "bcreg", "stream", "--model", "1", *tiny]]
@@ -308,10 +318,11 @@ class TestUsageErrors:
             ["kernel-stream", *tiny, "--orders", "1", "--bandwidth", "0.7", "--seed", "2"],
             ["stream", "--model", "1", *tiny],
             ["kernel-stream", *tiny],
-            ["fit", "--input", data, "--lambda", "0.1", "--family", "kernel"],
+            ["fit", "--input", data, "--lambda", "0.1", "--kernel", "gaussian"],
             ["bias-variance", "--model", "2", "--lambda", "0.1", "--reps", "5", "--n", "20"],
             ["stream", "--model", "2", *tiny, "--orders", "0,2", "--format", "csv"],
             ["fit", "--input", data, "--lambda", "0.1"],
+            ["fit", "--input", data, "--lambda", "0.1", "--kernel", "linear"],
         ]
 
         def outputs():
@@ -478,7 +489,7 @@ class TestKernelStreamCommand:
         results = json.loads(out.read_text())["results"]
         assert set(results["mse"]) == {"rkn", "bcrkn", "bcrkn-2", "bcrkn-3"}
         path = write(tmp_path / "d.csv", "x,y\n0,1\n1,0\n2,1\n3,0\n")
-        assert main(["fit", "--input", path, "--lambda", "0.1", "--family", "kernel",
+        assert main(["fit", "--input", path, "--lambda", "0.1", "--kernel", "gaussian",
                      "--order", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["order"] == 2
 

@@ -20,6 +20,7 @@ from bcreg import (
     InvalidDataError,
     InvalidParameterError,
     InvalidStateError,
+    KernelModel,
     KernelSpec,
     LinearModel,
     ShapeError,
@@ -265,6 +266,11 @@ def _block():
     return synth_block(SyntheticSpec("model1", n=20, seed=1))
 
 
+def _rows(p):
+    """A four-row dataset with p columns."""
+    return Dataset(np.ones((4, p)), np.arange(4.0))
+
+
 def _stream_with_seed(seed):
     return run_block_stream([_block()], [0], _block(), seed=seed)
 
@@ -338,9 +344,9 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: AveragedKernelModel(models=(LinearModel([1.0], 0.0, 1.0, 0),)),
          InvalidStateError),
         (lambda: AveragedKernelModel(models=None), InvalidParameterError),
-        (lambda: algorithm_label("ridge", 0), InvalidParameterError),
-        (lambda: algorithm_label("linear", -1), InvalidParameterError),
-        (lambda: algorithm_label("linear", 1.5), InvalidParameterError),
+        (lambda: algorithm_label(0, "gaussian"), InvalidParameterError),
+        (lambda: algorithm_label(-1), InvalidParameterError),
+        (lambda: algorithm_label(1.5), InvalidParameterError),
         (lambda: predict_averaged(LinearModel([1.0], 0.0, 1.0, 0), [[1.0]]), InvalidStateError),
         (lambda: run_block_stream([_block()], [0], _block().features), InvalidParameterError),
         (lambda: run_block_stream([_block().features], [0], _block()), InvalidParameterError),
@@ -404,13 +410,23 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: _stream_with_seed([]), InvalidParameterError),
         (lambda: cv_folds(10, 2, []), InvalidParameterError),
         (lambda: _write_csv_to_empty_dir(_block(), header=5), InvalidParameterError),
+        (lambda: KernelModel([[1.0]], [1.0], "x", 0.1, 0), InvalidParameterError),
+        (lambda: KernelSpec("gaussian", 1.0, offset="x"), InvalidParameterError),
+        (lambda: KernelSpec("linear", bandwidth="x", degree=[1]), InvalidParameterError),
+        (lambda: KernelSpec("polynomial", bandwidth=-1.0, degree=2), InvalidParameterError),
+        (lambda: run_block_stream([_rows(2), _rows(3)], [0], _rows(2)), ShapeError),
+        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0, 1.0, 0), [1.0, 2.0, 3.0]),
+         ShapeError),
+        (lambda: KernelModel([[1.0], [2.0]], [1.0], _GAUSS, 0.1, 0), ShapeError),
+        (lambda: compute_metrics([], []), ShapeError),
+        (lambda: true_weights("model3"), InvalidParameterError),
     ],
     ids=[
         "bandwidth-str", "offset-str", "spec-snr-none", "nonlinear-snr-str",
         "intercept-none", "sigma-none", "features-str", "averaged-nan", "averaged-2d",
         "grid-nan", "folds-float", "grid-empty", "grid-scalar", "grid-none",
         "averaged-kernel-empty", "averaged-kernel-linear", "averaged-kernel-none",
-        "label-family-unknown", "label-order-negative", "label-order-float",
+        "label-kernel-str", "label-order-negative", "label-order-float",
         "predict-averaged-linear-fit", "stream-test-array", "stream-block-array",
         "stream-kernel-str", "cv-dataset-array", "cv-kernel-str", "folds-above-rows",
         "centered-nan", "centered-y-mean-str", "centered-cov-shape", "centered-cross-none",
@@ -427,7 +443,10 @@ def test_non_integer_counts_are_parameter_errors(call):
         "bias-profile-str", "kernel-matrix-spec-str", "kernel-eval-spec-str",
         "predict-kernel-model-str", "predict-linear-model-str", "metrics-2d",
         "kernel-eval-2d", "bandwidth-bool", "fit-lambda-bool", "stream-seed-empty",
-        "folds-rng-empty", "write-csv-header-int",
+        "folds-rng-empty", "write-csv-header-int", "kernel-model-spec-str",
+        "gaussian-offset-str", "linear-unused-fields", "polynomial-bandwidth-negative",
+        "stream-block-columns", "predict-linear-length", "kernel-model-short-coeffs",
+        "metrics-empty", "true-weights-unknown",
     ],
 )
 def test_bad_boundary_values_raise_bcreg_errors(call, error):

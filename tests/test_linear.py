@@ -5,6 +5,7 @@ import pytest
 
 from bcreg import (
     Dataset,
+    DegenerateDataError,
     InsufficientDataError,
     InvalidDataError,
     InvalidParameterError,
@@ -120,6 +121,15 @@ class TestFitRegularized:
         ds = Dataset(features=np.array([[1.0]]), targets=np.array([2.0]))
         with pytest.raises(InsufficientDataError):
             fit_regularized(ds, 1.0, 0)
+
+    def test_singular_covariance_below_rounding_is_degenerate(self):
+        """A repeated column at scale 1e6 leaves lambda I + cov without a Cholesky factor."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(100, 5)) * 1e6
+        ds = Dataset(features=np.column_stack([x, x[:, 0]]), targets=rng.normal(size=100))
+        with pytest.raises(DegenerateDataError, match="no Cholesky factor at shift 1e-06"):
+            fit_regularized(ds, 1e-6, 0)
+        assert np.all(np.isfinite(fit_regularized(ds, 1e-3, 0).weights))
 
 
 class TestPredictLinear:

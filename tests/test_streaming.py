@@ -594,7 +594,7 @@ class TestLinearRunningSum:
         test = synth_block(SyntheticSpec("model1", n=120, seed=19), rng=5)
         report = run_block_stream(blocks, self.ORDERS, test, cv=self.CV, seed=6)
         for order in self.ORDERS:
-            label = algorithm_label("linear", order)
+            label = algorithm_label(order)
             avg = None
             for t, (block, lam) in enumerate(zip(blocks, report.lambdas), start=1):
                 avg = average_update(avg, fit_regularized(block, lam, order), t)
