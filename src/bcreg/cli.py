@@ -157,14 +157,31 @@ def _add_output_args(sub) -> None:
     )
 
 
+# kernel option -> (its default, the one kernel that reads it); fit without --kernel reads none
+_KERNEL_OPTIONS = {
+    "bandwidth": ("median", "gaussian"), "degree": (2, "polynomial"), "offset": (0.0, "polynomial"),
+}
+
+
 def _add_kernel_args(sub, default) -> None:
     sub.add_argument("--kernel", choices=KERNEL_KINDS, default=default, help="kernel kind")
     sub.add_argument(
-        "--bandwidth", type=_bandwidth_policy, default="median",
-        help="Gaussian bandwidth: 'median' (pairwise-distance heuristic) or a number",
+        "--bandwidth", type=_bandwidth_policy,
+        help="Gaussian bandwidth: 'median' (pairwise-distance heuristic, the default) or a number",
     )
-    sub.add_argument("--degree", type=int, default=2, help="polynomial kernel degree")
-    sub.add_argument("--offset", type=float, default=0.0, help="polynomial kernel offset")
+    sub.add_argument("--degree", type=int, help="polynomial kernel degree (default 2)")
+    sub.add_argument("--offset", type=float, help="polynomial kernel offset (default 0)")
+
+
+def _resolve_kernel_args(args) -> None:
+    """Fill in unset kernel options; one that the chosen kernel does not read exits 2."""
+    if not hasattr(args, "bandwidth"):  # a command without kernel options
+        return
+    for name, (default, kind) in _KERNEL_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.kernel != kind:
+            _parser().error(f"--{name} applies only to --kernel {kind}")
 
 
 def _add_stream_args(sub, blocks: int, block_size: int) -> None:
@@ -461,6 +478,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    _resolve_kernel_args(args)
     try:
         config, results, rows = COMMANDS[args.command](args)
         payload = {"config": config, "seed": getattr(args, "seed", None), "results": results}

@@ -130,13 +130,15 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelModel:
-    """Kernel expansion f(x) = sum_i coeffs_i K(centers_i, x)."""
+    """Kernel expansion f(x) = sum_i coeffs_i K(centers_i, x): a fit, or an average of fits.
+
+    A fit's centres are its training rows; an average of fits of one
+    ``spec`` stacks theirs (``streaming.average_update``).
+    """
 
     centers: np.ndarray  # (n, p)
     coeffs: np.ndarray  # (n,)
     spec: KernelSpec
-    lam: float
-    order: int
 
     def __post_init__(self):
         centers = _finite_array(self.centers, 2, "centers")
@@ -144,8 +146,7 @@ class KernelModel:
         if centers.shape[0] != coeffs.shape[0]:
             raise ShapeError("coeffs length must match center count")
         _store(self, centers=centers, coeffs=coeffs,
-               spec=_check_record(self.spec, KernelSpec, "spec"),
-               lam=_check_lam(self.lam), order=_check_order(self.order))
+               spec=_check_record(self.spec, KernelSpec, "spec"))
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -312,7 +313,7 @@ def fit_kernel_regularized(
     """Fit the kernel network (order 0) or its order-k bias-corrected variant."""
     lam, order = _check_lam(lam), _check_order(order)
     (coeffs,) = _KernelBlock(dataset, spec).coeffs(lam, [order])
-    return KernelModel(centers=dataset.features, coeffs=coeffs, spec=spec, lam=lam, order=order)
+    return KernelModel(centers=dataset.features, coeffs=coeffs, spec=spec)
 
 
 def predict_kernel(model: KernelModel, rows) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "Dataset",
     "CenteredStats",
     "LinearModel",
-    "AveragedLinearModel",
     "SpectrumProfile",
     "center",
     "fit_regularized",
@@ -194,35 +193,14 @@ class CenteredStats:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Affine predictor x -> weights . x + intercept.
-
-    ``order`` records how many bias-correction steps were applied on top
-    of the plain ridge solution (0 means none).
-    """
+    """Affine predictor x -> weights . x + intercept: a fit, or an average of fits."""
 
     weights: np.ndarray
     intercept: float
-    lam: float
-    order: int
 
     def __post_init__(self):
         _store(self, weights=_finite_array(self.weights, 1, "weights"),
-               intercept=_check_float(self.intercept, "intercept"),
-               lam=_check_lam(self.lam), order=_check_order(self.order))
-
-
-@dataclass(frozen=True)
-class AveragedLinearModel:
-    """Running average of linear base fits; itself an affine predictor."""
-
-    weights: np.ndarray
-    intercept: float
-    count: int
-
-    def __post_init__(self):
-        _store(self, weights=_finite_array(self.weights, 1, "weights"),
-               intercept=_check_float(self.intercept, "intercept"),
-               count=_check_int(self.count, "count", 1))
+               intercept=_check_float(self.intercept, "intercept"))
 
 
 @dataclass(frozen=True)
@@ -350,7 +328,7 @@ def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel
     x_mean, y_mean, cov, cross = _centered_arrays(dataset.features, dataset.targets)
     w = _tikhonov(cov, cross, lam, order)
     intercept = y_mean - float(w @ x_mean)
-    return LinearModel(weights=w, intercept=intercept, lam=lam, order=order)
+    return LinearModel(weights=w, intercept=intercept)
 
 
 def _holdout_residuals(dataset: Dataset, folds, grid: np.ndarray):
@@ -386,9 +364,9 @@ def _as_rows(features, p: int) -> np.ndarray:
     return x
 
 
-def predict_linear(model: LinearModel | AveragedLinearModel, features) -> np.ndarray:
+def predict_linear(model: LinearModel, features) -> np.ndarray:
     """Evaluate the affine predictor on m rows, returning length-m output."""
-    _check_record(model, (LinearModel, AveragedLinearModel), "model")
+    _check_record(model, LinearModel, "model")
     x = _as_rows(features, model.weights.shape[0])
     return x @ model.weights + model.intercept
 

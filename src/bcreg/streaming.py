@@ -5,8 +5,10 @@ block and the predictor in use at time t is the plain average of the t
 base fits.  Averaging is linear, so a stream keeps, per algorithm, the
 running sum of its fits' test-set predictions and scores sum / t: each
 fit is evaluated once, and one more block costs one more fit and one
-more evaluation.  ``average_update`` and ``predict_averaged`` build the
-averaged model itself, avg_t = ((t - 1) / t) avg_{t-1} + (1 / t) fit_t.
+more evaluation.  ``average_update`` builds the averaged model itself,
+avg_t = ((t - 1) / t) avg_{t-1} + (1 / t) fit_t, as a model of the fits'
+own type: an average of ridge fits is an affine predictor, and an
+average of kernel fits is a kernel expansion over all their centres.
 
 Averaging shrinks the variance of the base algorithm like 1/t while its
 bias persists, which is what makes low-bias base fits attractive here.
@@ -36,7 +38,6 @@ from .errors import (
 from .experiments import Metrics, compute_metrics
 from .kernels import KernelModel, KernelSpec, _KernelBlock, predict_kernel
 from .linear import (
-    AveragedLinearModel,
     Dataset,
     LinearModel,
     _check_int,
@@ -54,7 +55,6 @@ from .linear import (
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
-    "AveragedKernelModel",
     "CvConfig",
     "StreamReport",
     "algorithm_label",
@@ -69,71 +69,50 @@ __all__ = [
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6, 2, 25))
 
 
-@dataclass(frozen=True)
-class AveragedKernelModel:
-    """Running average of kernel base fits, kept as the full model list.
-
-    ``predict_averaged`` evaluates every stored model, so predicting after
-    t updates costs t kernel evaluations.  ``run_block_stream`` builds
-    neither averaged model: it sums each fit's test-set predictions once.
-    """
-
-    models: tuple[KernelModel, ...]
-
-    def __post_init__(self):
-        _store(self, models=_check_items(self.models, lambda m: m, "models"))
-        if not all(isinstance(m, KernelModel) for m in self.models):
-            raise InvalidStateError("an AveragedKernelModel averages KernelModel fits only")
-
-    @property
-    def count(self) -> int:
-        return len(self.models)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.count, 1.0 / self.count)
-
-
-AveragedModel = AveragedLinearModel | AveragedKernelModel
-# base fit type -> the running average that absorbs it
-_AVERAGED = {LinearModel: AveragedLinearModel, KernelModel: AveragedKernelModel}
-
-
 def average_update(current, fresh, t: int):
-    """Fold one more base fit into the running average.
+    """Fold one more base fit into the running average; returns a model of ``fresh``'s type.
 
-    ``t`` is the 1-based count after the update; it must equal
-    ``current.count + 1`` (with ``current`` absent exactly when t == 1).
-    Returns a new averaged model; inputs are never mutated.
+    ``t`` is the 1-based count after the update, and ``current`` is absent
+    exactly when t == 1, where the average is ``fresh`` itself.  Linear
+    fits average their weights and intercepts.  Kernel fits of one
+    ``KernelSpec`` average as one expansion over the stacked centres of
+    both, with coefficients ((t - 1) / t) c_current and (1 / t) c_fresh.
+    Mixing families or kernel specs raises InvalidStateError.  Inputs
+    are never mutated.
     """
     t = _check_int(t, "t", 1)
-    averaged = _AVERAGED.get(type(fresh))
-    if averaged is None or not isinstance(current, (averaged, type(None))):
+    _check_record(fresh, (LinearModel, KernelModel), "fresh")
+    if (current is None) != (t == 1):
+        raise SequencingError(f"current must be absent exactly when t == 1, got t == {t}")
+    if t == 1:
+        return fresh
+    if type(current) is not type(fresh):
         raise InvalidStateError(
             f"cannot average a {type(fresh).__name__} into a {type(current).__name__}"
         )
-    expected = 1 if current is None else current.count + 1
-    if t != expected:
-        raise SequencingError(f"expected t == {expected}, got {t}")
-    if averaged is AveragedKernelModel:
-        return AveragedKernelModel(models=(() if current is None else current.models) + (fresh,))
-    if current is None:
-        return AveragedLinearModel(weights=fresh.weights, intercept=fresh.intercept, count=1)
     frac = (t - 1) / t
-    return AveragedLinearModel(
-        weights=frac * current.weights + fresh.weights / t,
-        intercept=frac * current.intercept + fresh.intercept / t,
-        count=t,
+    if isinstance(fresh, LinearModel):
+        return LinearModel(
+            weights=frac * current.weights + fresh.weights / t,
+            intercept=frac * current.intercept + fresh.intercept / t,
+        )
+    if current.spec != fresh.spec:
+        raise InvalidStateError(
+            f"cannot average a fit of {fresh.spec} into an average of {current.spec}: "
+            "a kernel average has one spec"
+        )
+    return KernelModel(
+        centers=np.vstack([current.centers, fresh.centers]),
+        coeffs=np.concatenate([frac * current.coeffs, fresh.coeffs / t]),
+        spec=fresh.spec,
     )
 
 
-def predict_averaged(model: AveragedModel, rows) -> np.ndarray:
-    """Evaluate a running-average model on m rows."""
-    if isinstance(model, AveragedLinearModel):
-        return predict_linear(model, rows)
-    if not isinstance(model, AveragedKernelModel):
-        raise InvalidStateError(f"{type(model).__name__} is not an averaged model")
-    return sum(predict_kernel(m, rows) for m in model.models) / model.count
+def predict_averaged(model: LinearModel | KernelModel, rows) -> np.ndarray:
+    """Evaluate a running-average model, or any fit, on m rows with its own predictor."""
+    if isinstance(model, KernelModel):
+        return predict_kernel(model, rows)
+    return predict_linear(model, rows)
 
 
 def algorithm_label(order: int, kernel_spec: KernelSpec | None = None) -> str:

@@ -17,23 +17,22 @@ PUBLIC_NAMES = {
     "KernelModel", "KernelSpec", "fit_kernel_regularized", "kernel_eval",
     "kernel_matrix", "median_bandwidth", "predict_kernel",
     # linear
-    "AveragedLinearModel", "CenteredStats", "Dataset", "LinearModel", "SpectrumProfile",
+    "CenteredStats", "Dataset", "LinearModel", "SpectrumProfile",
     "asymptotic_bias", "center", "filter_factor", "fit_regularized", "predict_linear",
     # streaming
-    "DEFAULT_LAMBDA_GRID", "AveragedKernelModel",
-    "CvConfig", "StreamReport", "algorithm_label",
+    "DEFAULT_LAMBDA_GRID", "CvConfig", "StreamReport", "algorithm_label",
     "average_update", "cv_folds", "predict_averaged", "run_block_stream",
     "select_lambda_cv",
 }
 
 
 def test_public_names_are_the_modules_all_lists():
-    """bcreg.__all__ is the modules' lists joined, with no name twice, and the same 50 names."""
+    """bcreg.__all__ is the modules' lists joined, with no name twice, and the same 48 names."""
     modules = (errors, experiments, kernels, linear, streaming)
     joined = [name for module in modules for name in module.__all__]
     assert len(set(joined)) == len(joined)
     assert sorted(bcreg.__all__) == sorted(joined)
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 48
     assert set(bcreg.__all__) == PUBLIC_NAMES
     for module in modules:
         for name in module.__all__:

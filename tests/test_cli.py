@@ -504,6 +504,32 @@ class TestKernelStreamCommand:
         payload = json.loads(out.read_text())
         assert payload["config"]["kernel"]["bandwidth"] == 0.8
 
+    def test_unread_kernel_option_is_usage_error(self, tmp_path, capsys):
+        """A kernel option that the chosen kernel does not read exits 2 and writes nothing;
+        fit without --kernel reads none of them."""
+        data = write(tmp_path / "d.csv", "x,y\n0,1\n1,0\n2,1\n3,0\n")
+        out = tmp_path / "out.json"
+        cases = [
+            (["fit", "--input", data, "--lambda", "0.1", "--bandwidth", "0.5"], "--bandwidth"),
+            (["kernel-stream", "--kernel", "linear", "--degree", "9"], "--degree"),
+            (["kernel-stream", "--offset", "1"], "--offset"),
+        ]
+        for argv, option in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            assert exc.value.code == 2
+            assert f"{option} applies only to" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_gaussian_echo_keeps_every_kernel_option(self, tmp_path):
+        """Unset kernel options resolve to their defaults, and the echo keeps all four."""
+        out = tmp_path / "k.json"
+        assert main(["kernel-stream", "--blocks", "2", "--block-size", "20", "--test-size",
+                     "20", "--orders", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["kernel"] == {
+            "kind": "gaussian", "bandwidth": "median", "degree": 2, "offset": 0.0,
+        }
+
     def test_non_finite_bandwidth_is_usage_error(self, capsys):
         for h in ("inf", "nan"):
             with pytest.raises(SystemExit) as exc:

@@ -10,8 +10,6 @@ import pytest
 from scipy.integrate import quad
 
 from bcreg import (
-    AveragedKernelModel,
-    AveragedLinearModel,
     BcregError,
     CenteredStats,
     CvConfig,
@@ -329,25 +327,27 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: KernelSpec.polynomial(2, "x"), InvalidParameterError),
         (lambda: SyntheticSpec("model1", n=10, snr=None), InvalidParameterError),
         (lambda: synth_nonlinear_block(10, 0, snr="a"), InvalidParameterError),
-        (lambda: LinearModel(weights=[1.0], intercept=None, lam=1.0, order=0),
-         InvalidParameterError),
+        (lambda: LinearModel(weights=[1.0], intercept=None), InvalidParameterError),
         (lambda: filter_factor(None, 0.1), InvalidParameterError),
         (lambda: Dataset([["a"]], [1.0]), InvalidDataError),
-        (lambda: AveragedLinearModel([np.nan], np.nan, 1), InvalidDataError),
-        (lambda: AveragedLinearModel([[1.0, 2.0]], 0.0, 1), ShapeError),
+        # an average of linear fits is a LinearModel, and is checked as one
+        (lambda: LinearModel([np.nan], np.nan), InvalidDataError),
+        (lambda: LinearModel([[1.0, 2.0]], 0.0), ShapeError),
         (lambda: CvConfig(grid=(0.1, np.nan)), InvalidParameterError),
         (lambda: CvConfig(folds=2.5), InvalidParameterError),
         (lambda: CvConfig(grid=()), InvalidParameterError),
         (lambda: CvConfig(grid=0.1), InvalidParameterError),
         (lambda: CvConfig(grid=None), InvalidParameterError),
-        (lambda: AveragedKernelModel(models=()), InvalidParameterError),
-        (lambda: AveragedKernelModel(models=(LinearModel([1.0], 0.0, 1.0, 0),)),
-         InvalidStateError),
-        (lambda: AveragedKernelModel(models=None), InvalidParameterError),
+        # an average of no kernel fits, of a kernel fit and a linear one, and of None
+        (lambda: average_update(None, fit_kernel_regularized(_block(), _GAUSS, 0.1), 0),
+         InvalidParameterError),
+        (lambda: average_update(fit_kernel_regularized(_block(), _GAUSS, 0.1),
+                                LinearModel([1.0], 0.0), 2), InvalidStateError),
+        (lambda: average_update(None, None, 1), InvalidParameterError),
         (lambda: algorithm_label(0, "gaussian"), InvalidParameterError),
         (lambda: algorithm_label(-1), InvalidParameterError),
         (lambda: algorithm_label(1.5), InvalidParameterError),
-        (lambda: predict_averaged(LinearModel([1.0], 0.0, 1.0, 0), [[1.0]]), InvalidStateError),
+        (lambda: predict_averaged("model", [[1.0]]), InvalidParameterError),
         (lambda: run_block_stream([_block()], [0], _block().features), InvalidParameterError),
         (lambda: run_block_stream([_block().features], [0], _block()), InvalidParameterError),
         (lambda: run_block_stream([_block()], [0], _block(), kernel_spec="gaussian"),
@@ -377,8 +377,8 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: median_bandwidth(_RAGGED), InvalidDataError),
         (lambda: kernel_eval(_GAUSS, "abc", [1.0]), InvalidDataError),
         (lambda: kernel_eval(_GAUSS, [1.0, 2.0], _RAGGED), InvalidDataError),
-        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0, 1.0, 0), "abc"), InvalidDataError),
-        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0, 1.0, 0), _RAGGED),
+        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0), "abc"), InvalidDataError),
+        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0), _RAGGED),
          InvalidDataError),
         (lambda: predict_kernel(fit_kernel_regularized(_block(), _GAUSS, 0.1), "abc"),
          InvalidDataError),
@@ -410,14 +410,14 @@ def test_non_integer_counts_are_parameter_errors(call):
         (lambda: _stream_with_seed([]), InvalidParameterError),
         (lambda: cv_folds(10, 2, []), InvalidParameterError),
         (lambda: _write_csv_to_empty_dir(_block(), header=5), InvalidParameterError),
-        (lambda: KernelModel([[1.0]], [1.0], "x", 0.1, 0), InvalidParameterError),
+        (lambda: KernelModel([[1.0]], [1.0], "x"), InvalidParameterError),
         (lambda: KernelSpec("gaussian", 1.0, offset="x"), InvalidParameterError),
         (lambda: KernelSpec("linear", bandwidth="x", degree=[1]), InvalidParameterError),
         (lambda: KernelSpec("polynomial", bandwidth=-1.0, degree=2), InvalidParameterError),
         (lambda: run_block_stream([_rows(2), _rows(3)], [0], _rows(2)), ShapeError),
-        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0, 1.0, 0), [1.0, 2.0, 3.0]),
+        (lambda: predict_linear(LinearModel([1.0, 2.0], 0.0), [1.0, 2.0, 3.0]),
          ShapeError),
-        (lambda: KernelModel([[1.0], [2.0]], [1.0], _GAUSS, 0.1, 0), ShapeError),
+        (lambda: KernelModel([[1.0], [2.0]], [1.0], _GAUSS), ShapeError),
         (lambda: compute_metrics([], []), ShapeError),
         (lambda: true_weights("model3"), InvalidParameterError),
     ],
@@ -427,7 +427,7 @@ def test_non_integer_counts_are_parameter_errors(call):
         "grid-nan", "folds-float", "grid-empty", "grid-scalar", "grid-none",
         "averaged-kernel-empty", "averaged-kernel-linear", "averaged-kernel-none",
         "label-kernel-str", "label-order-negative", "label-order-float",
-        "predict-averaged-linear-fit", "stream-test-array", "stream-block-array",
+        "predict-averaged-model-str", "stream-test-array", "stream-block-array",
         "stream-kernel-str", "cv-dataset-array", "cv-kernel-str", "folds-above-rows",
         "centered-nan", "centered-y-mean-str", "centered-cov-shape", "centered-cross-none",
         "cv-rng-str", "chunks-rng-str", "folds-rng-negative", "folds-rng-float",
@@ -465,5 +465,4 @@ def test_records_keep_checked_values():
     np.testing.assert_array_equal(kernel_matrix(spec, rows, rows), kernel_matrix(exact, rows, rows))
     report = monte_carlo_bias_variance(SyntheticSpec("model1", n=np.int64(30)), 0.1, 0, 3)
     json.dumps(dataclasses.asdict(report))
-    model = LinearModel([1.0], np.float32(0.5), np.float32(0.5), np.int64(1))
-    assert [type(v) for v in (model.intercept, model.lam, model.order)] == [float, float, int]
+    assert type(LinearModel([1.0], np.float32(0.5)).intercept) is float

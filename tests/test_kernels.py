@@ -249,11 +249,13 @@ class TestFitKernelRegularized:
                 fit_kernel_regularized(ds, GAUSS, lam, 0)
 
     def test_invalid_order(self):
-        ds = Dataset(features=np.zeros((2, 1)), targets=np.zeros(2))
+        ds = Dataset(features=np.zeros((2, 1)), targets=np.array([1.0, -1.0]))
         for order in (-1, 0.5, 1.5):
             with pytest.raises(InvalidParameterError):
                 fit_kernel_regularized(ds, GAUSS, 1.0, order)
-        assert fit_kernel_regularized(ds, GAUSS, 1.0, 2).order == 2
+        # y spans the null space of K = 11', so order k gives (k + 1) y / mu, mu = lam n = 2
+        coeffs = fit_kernel_regularized(ds, GAUSS, 1.0, 2).coeffs
+        assert coeffs == pytest.approx([1.5, -1.5], rel=1e-12)
 
     def test_non_psd_kernel_is_degenerate(self):
         rng = np.random.default_rng(0)

@@ -134,13 +134,13 @@ class TestFitRegularized:
 
 class TestPredictLinear:
     def test_affine_evaluation(self):
-        model = LinearModel(weights=np.array([1.0, -1.0]), intercept=2.0, lam=1.0, order=0)
+        model = LinearModel(weights=np.array([1.0, -1.0]), intercept=2.0)
         assert predict_linear(model, np.array([[3.0, 1.0]])) == pytest.approx([4.0])
         # a bare length-p vector counts as one row
         assert predict_linear(model, np.array([3.0, 1.0])) == pytest.approx([4.0])
 
     def test_zero_weights_constant(self):
-        model = LinearModel(weights=np.zeros(2), intercept=-1.5, lam=1.0, order=0)
+        model = LinearModel(weights=np.zeros(2), intercept=-1.5)
         out = predict_linear(model, np.random.default_rng(1).normal(size=(7, 2)))
         np.testing.assert_allclose(out, -1.5)
 
@@ -151,7 +151,7 @@ class TestPredictLinear:
         )
 
     def test_dimension_mismatch(self):
-        model = LinearModel(weights=np.zeros(3), intercept=0.0, lam=1.0, order=0)
+        model = LinearModel(weights=np.zeros(3), intercept=0.0)
         with pytest.raises(ShapeError):
             predict_linear(model, np.zeros((4, 2)))
 

@@ -18,6 +18,7 @@ from bcreg import (
     InvalidDataError,
     InvalidParameterError,
     InvalidStateError,
+    KernelModel,
     KernelSpec,
     LinearModel,
     SequencingError,
@@ -43,16 +44,13 @@ from bcreg.streaming import _select_lambda
 
 
 def linear_model(w, b=0.0):
-    return LinearModel(weights=np.atleast_1d(np.asarray(w, float)), intercept=b, lam=1.0, order=0)
+    return LinearModel(weights=np.atleast_1d(np.asarray(w, float)), intercept=b)
 
 
 class TestAverageUpdate:
     def test_first_update_equals_fresh(self):
         fresh = linear_model([2.0, -1.0], b=0.5)
-        avg = average_update(None, fresh, 1)
-        np.testing.assert_array_equal(avg.weights, fresh.weights)
-        assert avg.intercept == fresh.intercept
-        assert avg.count == 1
+        assert average_update(None, fresh, 1) is fresh  # records are frozen
 
     def test_two_scalar_models_average(self):
         avg = average_update(None, linear_model([1.0]), 1)
@@ -66,21 +64,23 @@ class TestAverageUpdate:
         assert avg.weights == pytest.approx([8.0 / 3.0])
 
     def test_kernel_average_weights_sum_to_one(self):
+        """Seven updates by one fit stack its centres seven times, one weight per copy."""
         ds = Dataset(features=np.array([[0.0], [1.0]]), targets=np.array([1.0, -1.0]))
         fresh = fit_kernel_regularized(ds, KernelSpec.gaussian(1.0), 1.0, 0)
         avg = None
         for t in range(1, 8):
             avg = average_update(avg, fresh, t)
-        assert avg.count == 7
-        assert abs(avg.weights.sum() - 1.0) <= 1e-12
+        assert isinstance(avg, KernelModel) and avg.spec == fresh.spec
+        np.testing.assert_array_equal(avg.centers, np.tile(fresh.centers, (7, 1)))
+        weights = avg.coeffs.reshape(7, -1) / fresh.coeffs
+        np.testing.assert_allclose(weights, weights[:, :1].repeat(2, axis=1), rtol=1e-14)
+        assert abs(weights[:, 0].sum() - 1.0) <= 1e-12
 
     def test_sequencing_errors(self):
         fresh = linear_model([1.0])
         avg = average_update(None, fresh, 1)
         with pytest.raises(SequencingError):
             average_update(avg, fresh, 1)  # t=1 with non-empty current
-        with pytest.raises(SequencingError):
-            average_update(avg, fresh, 3)  # skipped t=2
         with pytest.raises(SequencingError):
             average_update(None, fresh, 2)  # missing current
 
@@ -93,6 +93,33 @@ class TestAverageUpdate:
         ker_avg = average_update(None, kernel_fit, 1)
         with pytest.raises(InvalidStateError):
             average_update(ker_avg, linear_model([1.0]), 2)
+
+    def test_kernel_spec_mismatch(self):
+        """A kernel average is one expansion of one spec, so another spec cannot join it."""
+        ds = Dataset(features=np.array([[0.0], [1.0]]), targets=np.array([1.0, -1.0]))
+        avg = average_update(None, fit_kernel_regularized(ds, KernelSpec.gaussian(1.0), 1.0), 1)
+        for spec in (KernelSpec.gaussian(2.0), KernelSpec.polynomial(2)):
+            with pytest.raises(InvalidStateError, match="one spec"):
+                average_update(avg, fit_kernel_regularized(ds, spec, 1.0), 2)
+
+    def test_linear_fits_at_different_lambdas_average_to_a_linear_model(self):
+        block = synth_block(SyntheticSpec("model1", n=60, seed=33), rng=0)
+        fits = [fit_regularized(block, lam, order) for lam, order in ((0.01, 0), (1.0, 2))]
+        avg = average_update(average_update(None, fits[0], 1), fits[1], 2)
+        assert type(avg) is LinearModel
+        np.testing.assert_allclose(avg.weights, (fits[0].weights + fits[1].weights) / 2)
+        assert avg.intercept == pytest.approx((fits[0].intercept + fits[1].intercept) / 2)
+
+    def test_predict_averaged_on_a_plain_fit(self):
+        """A fit is the average of itself: predict_averaged gives its own predictions."""
+        block = synth_block(SyntheticSpec("model1", n=40, seed=34), rng=1)
+        rows = block.features[:7]
+        fit = fit_regularized(block, 0.1, 1)
+        np.testing.assert_array_equal(predict_averaged(fit, rows), predict_linear(fit, rows))
+        kernel_fit = fit_kernel_regularized(block, KernelSpec.gaussian(3.0), 0.1, 1)
+        np.testing.assert_array_equal(
+            predict_averaged(kernel_fit, rows), predict_kernel(kernel_fit, rows)
+        )
 
     def test_linear_average_exactness(self):
         """Averaged prediction equals the mean of the base predictions."""
@@ -118,6 +145,35 @@ class TestAverageUpdate:
         grid = rng.normal(size=(15, 2))
         direct = np.mean([predict_kernel(m, grid) for m in models], axis=0)
         np.testing.assert_allclose(predict_averaged(avg, grid), direct, rtol=1e-10)
+
+    def test_kernel_average_predicts_with_one_kernel_matrix(self, monkeypatch):
+        """t kernel fits average to one expansion: one kernel_matrix call, not t."""
+        rng = np.random.default_rng(35)
+        spec = KernelSpec.gaussian(0.6)
+        models = [
+            fit_kernel_regularized(
+                Dataset(features=rng.normal(size=(12, 3)), targets=rng.normal(size=12)),
+                spec, 0.05, t % 3,
+            )
+            for t in range(8)
+        ]
+        avg = None
+        for t, m in enumerate(models, start=1):
+            avg = average_update(avg, m, t)
+        assert avg.centers.shape == (96, 3)
+        grid = rng.normal(size=(30, 3))
+        direct = np.mean([predict_kernel(m, grid) for m in models], axis=0)
+        calls = []
+        original = bcreg.kernels.kernel_matrix
+
+        def counting(*args):
+            calls.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(bcreg.kernels, "kernel_matrix", counting)
+        predictions = predict_averaged(avg, grid)
+        assert len(calls) == 1
+        assert np.linalg.norm(predictions - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def ridge_cv_oracle(dataset, grid, folds, rng):
@@ -525,11 +581,12 @@ class TestKernelRunningSum:
             blocks, [0, 1], test, cv=self.CV, seed=4, kernel_spec=self.SPEC
         )
         for order, label in ((0, "rkn"), (1, "bcrkn")):
-            avg = None
+            # the averaged model's prediction, summed over the fits in stream order
+            predictions = []
             for t, (block, lam) in enumerate(zip(blocks, report.lambdas), start=1):
                 fit = fit_kernel_regularized(block, self.SPEC, lam, order)
-                avg = average_update(avg, fit, t)
-                expected = compute_metrics(predict_averaged(avg, test.features), test.targets)
+                predictions.append(predict_kernel(fit, test.features))
+                expected = compute_metrics(sum(predictions) / t, test.targets)
                 np.testing.assert_array_equal(report.mse[label][t - 1], expected.mse)
 
     def test_each_fit_is_evaluated_once(self, monkeypatch):
