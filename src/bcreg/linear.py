@@ -19,10 +19,14 @@ asymptotic-bias oracle used to sanity-check Monte-Carlo estimates.
 
 scipy.linalg loads at the first ``_tikhonov`` call, the Cholesky solve
 of linear fits and linear CV folds; ``import bcreg``, kernel fits and
-kernel streams never load it.  Each call is one ``cho_factor`` and, per
-back-substitution, one bare LAPACK ``dpotrs``: the systems are p x p
-with p in the tens, so scipy's per-call argument checks in
-``cho_solve`` would cost more than the arithmetic.
+kernel streams never load it.  Each shift is one ``cho_factor``, in
+place on one Fortran-order buffer refilled per shift, and per
+back-substitution one bare LAPACK ``dpotrs``: the systems are p x p
+with p in the tens, where ``cho_solve``'s argument checks would cost
+more than the back-substitution.  Linear CV centres its block once and
+downdates each fold's training moments from the block's scatter
+(Chan, Golub & LeVeque 1979), so no fold copies or re-centres its
+training rows.
 """
 
 from __future__ import annotations
@@ -221,9 +225,10 @@ class SpectrumProfile:
 
 
 def _centered_arrays(x: np.ndarray, y: np.ndarray):
-    """Means, covariance, and cross moment of already-validated arrays.
+    """Means, covariance and cross moment of already-validated arrays, and the centred arrays.
 
-    Raises InvalidDataError where the moments overflow, without a numpy warning.
+    Returns (x_mean, y_mean, cov, cross, xc, yc).  Raises InvalidDataError
+    where the moments overflow, without a numpy warning.
     """
     n = x.shape[0]
     x_mean = x.mean(axis=0)
@@ -236,7 +241,7 @@ def _centered_arrays(x: np.ndarray, y: np.ndarray):
         cross = xc.T @ yc / n
     if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(cross))):
         raise InvalidDataError("the data's second moments overflow; rescale the data")
-    return x_mean, y_mean, cov, cross
+    return x_mean, y_mean, cov, cross, xc, yc
 
 
 def center(dataset: Dataset) -> CenteredStats:
@@ -247,41 +252,50 @@ def center(dataset: Dataset) -> CenteredStats:
     data.
     """
     _check_record(dataset, Dataset, "dataset")
-    return CenteredStats(*_centered_arrays(dataset.features, dataset.targets))
+    return CenteredStats(*_centered_arrays(dataset.features, dataset.targets)[:4])
 
 
-def _tikhonov(gram: np.ndarray, rhs: np.ndarray, lam: float, order: int) -> np.ndarray:
-    """Order-k iterated Tikhonov solution sum_{j=0..k} lam^j (lam I + gram)^-(j+1) rhs.
+def _tikhonov(gram: np.ndarray, rhs: np.ndarray, shifts: np.ndarray, order: int) -> np.ndarray:
+    """Order-k iterated Tikhonov solutions sum_{j=0..k} mu^j (mu I + gram)^-(j+1) rhs.
 
-    Every linear fit and linear CV fold is this solve, on (cov, cross).
-    Factors (lam I + gram) once, with ``scipy.linalg.cho_factor`` in place
-    on the call's one Fortran-order copy of ``gram``; every correction
+    One row per shift mu of the 1-d array ``shifts``.  Every linear fit
+    (one shift) and linear CV fold (the grid) is this solve, on (cov,
+    cross) of its rows.  Per shift, the call's one Fortran-order buffer
+    is refilled with ``gram``, its diagonal set to diag(gram) + mu, and
+    factored in place by ``scipy.linalg.cho_factor``; every correction
     step is one extra back-substitution, LAPACK ``dpotrs`` on that factor
     (what ``cho_solve`` runs after its argument checks), never an explicit
-    matrix power.  Kernel fits are the same solve on (K, y) with
-    lam = lambda n, taken from the block's eigendecomposition instead
-    (``_tikhonov_filter``).
+    matrix power.  Raises DegenerateDataError naming the first shift,
+    in the order given, with no factor.  Kernel fits are the same solve
+    on (K, y) with mu = lambda n, taken from the block's eigendecomposition
+    instead (``_tikhonov_filter``).
     """
     import scipy.linalg  # loaded at the first call; cho_factor is looked up afresh on each
 
-    shifted = np.array(gram, dtype=float, order="F")
-    shifted.flat[:: gram.shape[0] + 1] += lam  # the diagonal, without an n x n eye
-    try:
-        factor, _ = scipy.linalg.cho_factor(
-            shifted, lower=True, overwrite_a=True, check_finite=False
-        )
-    except np.linalg.LinAlgError:
-        raise DegenerateDataError(
-            f"lambda I + Gram matrix has no Cholesky factor at shift {lam}: "
-            "the Gram (kernel) matrix is not positive semi-definite"
-        ) from None
-    # dpotrs's info is nonzero only for an illegal argument, which f2py's shape checks rule out
-    potrs = partial(scipy.linalg.lapack.dpotrs, factor, lower=True)
-    solution = term = potrs(rhs)[0]
-    for _ in range(order):
-        term = lam * potrs(term)[0]
-        solution = solution + term
-    return solution
+    p = gram.shape[0]
+    flat = np.empty(p * p)
+    shifted, diagonal = flat.reshape((p, p), order="F"), flat[:: p + 1]
+    gram_diagonal = gram.diagonal()
+    solutions = np.empty((shifts.shape[0], p))
+    for row, lam in zip(solutions, shifts):
+        np.copyto(shifted, gram)
+        np.add(gram_diagonal, lam, out=diagonal)
+        try:
+            factor, _ = scipy.linalg.cho_factor(
+                shifted, lower=True, overwrite_a=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            raise DegenerateDataError(
+                f"lambda I + Gram matrix has no Cholesky factor at shift {lam}: "
+                "the Gram (kernel) matrix is not positive semi-definite"
+            ) from None
+        # dpotrs's info is nonzero only for an illegal argument, which f2py's shape checks rule out
+        solution = term = scipy.linalg.lapack.dpotrs(factor, rhs, lower=True)[0]
+        for _ in range(order):
+            term = lam * scipy.linalg.lapack.dpotrs(factor, term, lower=True)[0]
+            solution = solution + term
+        row[:] = solution
+    return solutions
 
 
 def _tikhonov_filter(s: np.ndarray, shifts: np.ndarray, order: int) -> np.ndarray:
@@ -325,8 +339,8 @@ def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel
     lam, order = _check_lam(lam), _check_order(order)
     if _check_record(dataset, Dataset, "dataset").n_rows < 2:
         raise InsufficientDataError("fitting needs at least two rows")
-    x_mean, y_mean, cov, cross = _centered_arrays(dataset.features, dataset.targets)
-    w = _tikhonov(cov, cross, lam, order)
+    x_mean, y_mean, cov, cross, _, _ = _centered_arrays(dataset.features, dataset.targets)
+    w = _tikhonov(cov, cross, np.array([lam]), order)[0]
     intercept = y_mean - float(w @ x_mean)
     return LinearModel(weights=w, intercept=intercept)
 
@@ -336,20 +350,32 @@ def _holdout_residuals(dataset: Dataset, folds, grid: np.ndarray):
 
     f_T is the order-0 ``fit_regularized`` on the rows T outside V, so its
     intercept is unpenalised, with one ``_tikhonov`` Cholesky per fold and
-    lambda.  Yields a (1, len(V), grid.size) residual stack per fold, in
-    the order of ``folds``.  The linear fold scorer of
-    ``streaming._select_lambda``; the kernel one is
-    ``_KernelBlock.holdout_residuals``.
+    lambda, on (cov, cross) of its training rows.  The block is centred
+    once; each fold's training moments are the block's scatter S = n cov
+    less the fold's own rows, in block-centred coordinates (Chan, Golub &
+    LeVeque 1979): with d the training mean's offset from the block mean,
+    cov_T = (S - Xc_V' Xc_V) / |T| - d d', and likewise cross_T.  Yields a
+    (1, len(V), grid.size) residual stack per fold, in the order of
+    ``folds``.  The linear fold scorer of ``streaming._select_lambda``;
+    the kernel one is ``_KernelBlock.holdout_residuals``.
     """
-    x, y = dataset.features, dataset.targets
+    n = dataset.n_rows
+    _, _, cov, cross, xc, yc = _centered_arrays(dataset.features, dataset.targets)
+    scatter, scatter_y = n * cov, n * cross
+    sums, sum_y = xc.sum(axis=0), yc.sum()
     for val_idx in folds:
-        train = np.ones(dataset.n_rows, dtype=bool)
-        train[val_idx] = False
-        x_mean, y_mean, gram, rhs = _centered_arrays(x[train], y[train])
-        # one Cholesky per lambda, not one eigh and _tikhonov_filter, until
-        # bench/test_bench.py's pin of 250 factorizations per linear CV call is restated
-        path = np.column_stack([_tikhonov(gram, rhs, lam, 0) for lam in grid])
-        yield (y[val_idx, None] - ((x[val_idx] - x_mean) @ path + y_mean))[None]
+        xv, yv = xc[val_idx], yc[val_idx]
+        n_train = n - len(val_idx)
+        d = (sums - xv.sum(axis=0)) / n_train  # training mean - block mean
+        d_y = (sum_y - yv.sum()) / n_train
+        gram = (scatter - xv.T @ xv) / n_train - np.outer(d, d)
+        rhs = (scatter_y - xv.T @ yv) / n_train - d * d_y
+        # one Cholesky per lambda, not one eigh and _tikhonov_filter, until the pins
+        # of 250 factorizations per linear CV call are restated: bench/test_bench.py's
+        # test_factorization_counts_repeat_exactly and tests/test_streaming.py's
+        # TestSelectLambdaCv::test_factorizations_per_call
+        weights = _tikhonov(gram, rhs, grid, 0)
+        yield ((yv - d_y)[:, None] - (xv - d) @ weights.T)[None]
 
 
 def _as_rows(features, p: int) -> np.ndarray:

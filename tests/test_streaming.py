@@ -377,6 +377,25 @@ class TestSelectLambdaCv:
                 tracemalloc.stop()
             assert peak <= 1.5 * peak_mb * 1e6, (n, peak)
 
+    def test_linear_cv_peak_memory(self):
+        """One linear CV call's traced peak stays within 6 (n p + p^2) doubles.
+
+        The folds refill one p x p buffer per lambda rather than stacking the
+        grid.  One call peaks at about 3 and 6 times the block's bytes at
+        p = 57 and 200; a (grid, p, p) stack of the shifted Grams peaks at
+        9 times them at p = 57, over this bound.
+        """
+        rng = np.random.default_rng(9)
+        for n, p in ((230, 57), (230, 200)):
+            ds = Dataset(features=rng.normal(size=(n, p)), targets=rng.normal(size=n))
+            tracemalloc.start()
+            try:
+                select_lambda_cv(ds, CvConfig(), rng=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * (n * p + p * p) * 8, (n, p, peak)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 2))
