@@ -23,10 +23,8 @@ kernel streams never load it.  Each shift is one ``cho_factor``, in
 place on one Fortran-order buffer refilled per shift, and per
 back-substitution one bare LAPACK ``dpotrs``: the systems are p x p
 with p in the tens, where ``cho_solve``'s argument checks would cost
-more than the back-substitution.  Linear CV centres its block once and
-downdates each fold's training moments from the block's scatter
-(Chan, Golub & LeVeque 1979), so no fold copies or re-centres its
-training rows.
+more than the back-substitution.  Linear CV centres its block once,
+and each fold re-centres its training rows at their own mean.
 """
 
 from __future__ import annotations
@@ -351,31 +349,32 @@ def _holdout_residuals(dataset: Dataset, folds, grid: np.ndarray):
     f_T is the order-0 ``fit_regularized`` on the rows T outside V, so its
     intercept is unpenalised, with one ``_tikhonov`` Cholesky per fold and
     lambda, on (cov, cross) of its training rows.  The block is centred
-    once; each fold's training moments are the block's scatter S = n cov
-    less the fold's own rows, in block-centred coordinates (Chan, Golub &
-    LeVeque 1979): with d the training mean's offset from the block mean,
-    cov_T = (S - Xc_V' Xc_V) / |T| - d d', and likewise cross_T.  Yields a
-    (1, len(V), grid.size) residual stack per fold, in the order of
-    ``folds``.  The linear fold scorer of ``streaming._select_lambda``;
+    once, where data whose moments overflow raise InvalidDataError (a
+    subset of its rows cannot overflow after that).  Each fold re-centres
+    its block-centred training rows at their own mean d and takes its
+    moments from them, so their rounding scales with the training rows
+    alone; subtracting the fold's rows from the block's scatter would
+    cancel where a fold holds a column's largest value.
+    Yields a (1, len(V), grid.size) residual stack per fold, in the order
+    of ``folds``.  The linear fold scorer of ``streaming._select_lambda``;
     the kernel one is ``_KernelBlock.holdout_residuals``.
     """
     n = dataset.n_rows
-    _, _, cov, cross, xc, yc = _centered_arrays(dataset.features, dataset.targets)
-    scatter, scatter_y = n * cov, n * cross
-    sums, sum_y = xc.sum(axis=0), yc.sum()
+    _, _, _, _, xc, yc = _centered_arrays(dataset.features, dataset.targets)
     for val_idx in folds:
-        xv, yv = xc[val_idx], yc[val_idx]
-        n_train = n - len(val_idx)
-        d = (sums - xv.sum(axis=0)) / n_train  # training mean - block mean
-        d_y = (sum_y - yv.sum()) / n_train
-        gram = (scatter - xv.T @ xv) / n_train - np.outer(d, d)
-        rhs = (scatter_y - xv.T @ yv) / n_train - d * d_y
+        train = np.ones(n, dtype=bool)
+        train[val_idx] = False
+        xt, yt = xc[train], yc[train]
+        d, d_y = xt.mean(axis=0), yt.mean()  # training mean - block mean
+        xt -= d
+        yt -= d_y
+        gram, rhs = xt.T @ xt / yt.size, xt.T @ yt / yt.size
         # one Cholesky per lambda, not one eigh and _tikhonov_filter, until the pins
         # of 250 factorizations per linear CV call are restated: bench/test_bench.py's
         # test_factorization_counts_repeat_exactly and tests/test_streaming.py's
         # TestSelectLambdaCv::test_factorizations_per_call
         weights = _tikhonov(gram, rhs, grid, 0)
-        yield ((yv - d_y)[:, None] - (xv - d) @ weights.T)[None]
+        yield ((yc[val_idx] - d_y)[:, None] - (xc[val_idx] - d) @ weights.T)[None]
 
 
 def _as_rows(features, p: int) -> np.ndarray:

@@ -173,8 +173,8 @@ def select_lambda_cv(
 
     Each family scores the held-out folds in its own module.  Linear folds
     (``linear._holdout_residuals``) take (cov, cross) of their training
-    rows, downdated from the once-centred block's scatter without copying
-    those rows, and one Cholesky solve per lambda.  Kernel folds
+    rows, re-centred within the once-centred block, and one Cholesky
+    solve per lambda.  Kernel folds
     (``kernels._KernelBlock.holdout_residuals``) factor nothing: the
     dataset's kernel matrix is decomposed once, and every fold's residuals
     at lambda n_train follow from that one decomposition in closed form,

@@ -278,6 +278,28 @@ class TestSelectLambdaCv:
             errors = ridge_cv_oracle(ds, grid, folds, np.random.default_rng(seed))
             assert picked == largest_minimizer(grid, errors), (case, n, p)
 
+    def test_sparse_column_outlier_in_a_fold_matches_brute_force(self):
+        """A column that is zero but for one large value picks what re-centring picks.
+
+        The value lies in a validation fold, so that column of every other
+        fold's training rows is constant and its weight is zero.  A fold Gram
+        downdated from the block's scatter leaves a rounding error of about
+        eps M^2 / |T| there (1e-4 at M = 1e7), above the grid's smallest
+        lambda: it broke the Cholesky factor or moved the pick.
+        """
+        rng = np.random.default_rng(66)
+        grid = list(DEFAULT_LAMBDA_GRID)
+        n, p = 230, 6
+        for case, big in enumerate((1e7, 1e7, 1e8, 1e9)):
+            x = rng.normal(size=(n, p))
+            x[:, 2] = 0.0
+            x[int(rng.integers(n)), 2] = big
+            y = x[:, [0, 1, 3]] @ np.array([1.0, -0.5, 0.3]) + rng.normal(size=n)
+            ds = Dataset(features=x, targets=y)
+            picked = select_lambda_cv(ds, CvConfig(grid, 10), rng=case)
+            errors = ridge_cv_oracle(ds, grid, 10, np.random.default_rng(case))
+            assert picked == largest_minimizer(grid, errors), (case, big)
+
     def test_exact_tie_picks_largest_lambda(self):
         """Every lambda fits these targets exactly, so the largest one is picked."""
         rng = np.random.default_rng(63)

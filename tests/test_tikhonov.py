@@ -161,13 +161,18 @@ def linear_holdout_cases(rng):
     x = rng.normal(size=(29, 4)) - 3.0
     y = x @ np.array([0.5, 1.0, -1.0, 2.0]) + rng.normal(size=29)
     yield x, y, [np.sort(part) for part in np.split(rng.permutation(29), [1, 5, 14])]
+    # a column that is zero but for one value of 1e7, which lies in a validation fold
+    x = rng.normal(size=(230, 4))
+    x[:, 1] = 0.0
+    x[int(rng.integers(230)), 1] = 1e7
+    yield x, x @ np.array([1.0, 0.0, -1.0, 0.5]) + rng.normal(size=230), cv_folds(230, 10, rng)
 
 
 def test_linear_holdout_residuals_match_direct_ridge_solves():
     """y_V - (x_V w + b) of the centred ridge fit on T, with b unpenalised, for every fold.
 
-    The fold moments are downdated from the block's; the direct fit
-    re-centres the training rows.
+    The fold scorer centres the block once and then its training rows; the
+    direct fit re-centres the raw training rows.
     """
     rng = np.random.default_rng(8)
     grid = np.array([1e-3, 0.2, 5.0])
