@@ -223,10 +223,9 @@ class SpectrumProfile:
 
 
 def _centered_arrays(x: np.ndarray, y: np.ndarray):
-    """Means, covariance and cross moment of already-validated arrays, and the centred arrays.
+    """Means, covariance, and cross moment of already-validated arrays.
 
-    Returns (x_mean, y_mean, cov, cross, xc, yc).  Raises InvalidDataError
-    where the moments overflow, without a numpy warning.
+    Raises InvalidDataError where the moments overflow, without a numpy warning.
     """
     n = x.shape[0]
     x_mean = x.mean(axis=0)
@@ -239,7 +238,7 @@ def _centered_arrays(x: np.ndarray, y: np.ndarray):
         cross = xc.T @ yc / n
     if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(cross))):
         raise InvalidDataError("the data's second moments overflow; rescale the data")
-    return x_mean, y_mean, cov, cross, xc, yc
+    return x_mean, y_mean, cov, cross
 
 
 def center(dataset: Dataset) -> CenteredStats:
@@ -250,7 +249,7 @@ def center(dataset: Dataset) -> CenteredStats:
     data.
     """
     _check_record(dataset, Dataset, "dataset")
-    return CenteredStats(*_centered_arrays(dataset.features, dataset.targets)[:4])
+    return CenteredStats(*_centered_arrays(dataset.features, dataset.targets))
 
 
 def _tikhonov(gram: np.ndarray, rhs: np.ndarray, shifts: np.ndarray, order: int) -> np.ndarray:
@@ -337,7 +336,7 @@ def fit_regularized(dataset: Dataset, lam: float, order: int = 0) -> LinearModel
     lam, order = _check_lam(lam), _check_order(order)
     if _check_record(dataset, Dataset, "dataset").n_rows < 2:
         raise InsufficientDataError("fitting needs at least two rows")
-    x_mean, y_mean, cov, cross, _, _ = _centered_arrays(dataset.features, dataset.targets)
+    x_mean, y_mean, cov, cross = _centered_arrays(dataset.features, dataset.targets)
     w = _tikhonov(cov, cross, np.array([lam]), order)[0]
     intercept = y_mean - float(w @ x_mean)
     return LinearModel(weights=w, intercept=intercept)
@@ -349,26 +348,22 @@ def _holdout_residuals(dataset: Dataset, folds, grid: np.ndarray):
     f_T is the order-0 ``fit_regularized`` on the rows T outside V, so its
     intercept is unpenalised, with one ``_tikhonov`` Cholesky per fold and
     lambda, on (cov, cross) of its training rows.  The block is centred
-    once, where data whose moments overflow raise InvalidDataError (a
-    subset of its rows cannot overflow after that).  Each fold re-centres
-    its block-centred training rows at their own mean d and takes its
-    moments from them, so their rounding scales with the training rows
-    alone; subtracting the fold's rows from the block's scatter would
-    cancel where a fold holds a column's largest value.
-    Yields a (1, len(V), grid.size) residual stack per fold, in the order
-    of ``folds``.  The linear fold scorer of ``streaming._select_lambda``;
-    the kernel one is ``_KernelBlock.holdout_residuals``.
+    once, and each fold's moments are those of its block-centred training
+    rows, re-centred at their own mean d by ``_centered_arrays`` (which
+    raises InvalidDataError where they overflow), so their rounding scales
+    with the training rows alone.  Downdating the block's scatter by the
+    fold's rows instead would cancel where a fold holds a column's largest
+    value.  Yields a (1, len(V), grid.size) residual stack per fold, in
+    the order of ``folds``.  The linear fold scorer of
+    ``streaming._select_lambda``; the kernel one is
+    ``_KernelBlock.holdout_residuals``.
     """
-    n = dataset.n_rows
-    _, _, _, _, xc, yc = _centered_arrays(dataset.features, dataset.targets)
+    xc = dataset.features - dataset.features.mean(axis=0)
+    yc = dataset.targets - dataset.targets.mean()
     for val_idx in folds:
-        train = np.ones(n, dtype=bool)
+        train = np.ones(dataset.n_rows, dtype=bool)
         train[val_idx] = False
-        xt, yt = xc[train], yc[train]
-        d, d_y = xt.mean(axis=0), yt.mean()  # training mean - block mean
-        xt -= d
-        yt -= d_y
-        gram, rhs = xt.T @ xt / yt.size, xt.T @ yt / yt.size
+        d, d_y, gram, rhs = _centered_arrays(xc[train], yc[train])  # offsets from the block mean
         # one Cholesky per lambda, not one eigh and _tikhonov_filter, until the pins
         # of 250 factorizations per linear CV call are restated: bench/test_bench.py's
         # test_factorization_counts_repeat_exactly and tests/test_streaming.py's
