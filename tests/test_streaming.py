@@ -283,9 +283,9 @@ class TestSelectLambdaCv:
 
         The value lies in a validation fold, so that column of every other
         fold's training rows is constant and its weight is zero.  A fold Gram
-        downdated from the block's scatter leaves a rounding error of about
-        eps M^2 / |T| there (1e-4 at M = 1e7), above the grid's smallest
-        lambda: it broke the Cholesky factor or moved the pick.
+        downdated from the block's scatter would leave a rounding error of
+        about eps M^2 / |T| there (1e-4 at M = 1e7), above the grid's
+        smallest lambda, which breaks the Cholesky factor or moves the pick.
         """
         rng = np.random.default_rng(66)
         grid = list(DEFAULT_LAMBDA_GRID)
