@@ -15,8 +15,11 @@ the spectral filter sum_{j=0..k} mu^j / (mu + s)^(j+1) applied to U' y.
 Cross validation on the block reads the same decomposition: a fold's
 held-out residuals follow in closed form from (K + mu I)^-1, so neither
 the fits nor the folds factor another matrix.  The block's folds are
-scored together, in groups of equal-size folds: one matrix product and
-one batched solve per group, not per fold.
+scored together, in groups of equal-size folds, one matrix product per
+group.  A kernel stream scores consecutive blocks of one size as a stack:
+one batched solve serves the folds of several blocks, up to a fixed
+budget of 2^15 doubles (256 KB) of stacked systems, and of the stack's
+eigenvectors.
 
 No intercept and no target centering are used; the fit lives entirely
 in the kernel's function space.
@@ -264,47 +267,111 @@ class _KernelBlock:
             raise InvalidDataError("kernel fit coefficients contain non-finite values")
         return out
 
-    def cross(self, rows: np.ndarray) -> np.ndarray:
-        """Kernel values between ``rows`` and the block's rows, shape (m, n).
+    def predictions(self, rows: np.ndarray, lam: float, orders) -> list[np.ndarray]:
+        """Each order's fit at lambda evaluated on ``rows``, from one kernel matrix.
 
-        ``cross(rows) @ c`` equals ``predict_kernel(fit, rows)`` bitwise
-        for the coefficients c of every fit of this block, whatever its order.
+        Equal bitwise to ``predict_kernel`` of each order's fit on this
+        block.  The (m, n) kernel matrix is freed on return.
         """
-        return kernel_matrix(self.spec, rows, self.dataset.features)
+        cross = kernel_matrix(self.spec, rows, self.dataset.features)
+        return [cross @ c for c in self.coeffs(lam, orders)]
 
     def holdout_residuals(self, folds, grid: np.ndarray):
         """Residuals y_V - K_VT (K_TT + mu I)^-1 y_T of the folds V, one column per lambda.
 
-        T is every row outside V and mu = lambda |T|.  With B = (K + mu I)^-1
-        = U diag(1 / (s + mu)) U', the residuals are (B_VV)^-1 (B y)_V
-        (An, Liu & Venkatesh, Pattern Recognition 2007), so no training-fold
-        matrix is factored.  Neighbouring folds of equal size share one
-        filter 1 / (s + mu) and one B y, and are scored in groups of at most
-        ``grid.size`` rows: a group's B_VV blocks for every lambda come from
-        one product of the filter with the row products u_a * u_b of U, and
-        its residuals from one batched solve.  A fold of more rows than the
-        grid is a group of its own, its products taken in chunks of
-        ``grid.size`` rows, so no temporary outgrows one fold's (grid, v, n)
-        array.  Yields one (folds, v, grid.size) residual stack per group,
-        in the order of ``folds``.
+        T is every row outside V and mu = lambda |T|: this block's folds,
+        scored by ``_holdout_residuals`` as a stack of one block.
         """
-        s, u, uy = self.eig
-        n, g = self.dataset.n_rows, grid.size
-        for v, run in groupby(folds, len):
+        return _holdout_residuals([self], folds, grid)
+
+
+# The most doubles of stacked B_VV one batched solve takes, and of eigenvectors one
+# stack of blocks holds (256 KB): the folds of 5 blocks of 50 rows in 10 folds at
+# the 25 lambdas of the default grid.
+_STACK_DOUBLES = 2**15
+
+
+def _blocks_per_stack(n: int, folds: int, g: int) -> int:
+    """How many blocks of n rows in ``folds`` folds fit their B_VV at g lambdas in one solve.
+
+    At least one.  A stack's blocks hold their n x n eigenvectors until
+    their fits, so these too stay within ``_STACK_DOUBLES``: with many
+    small folds and a short grid (leave-one-out), B_VV alone would admit
+    hundreds of blocks.  The fold sizes are those of ``streaming.cv_folds``.
+    """
+    size, extra = divmod(n, folds)  # extra folds of size + 1 rows, the rest of size
+    b_vv = g * (folds * size**2 + extra * (2 * size + 1))
+    return max(1, _STACK_DOUBLES // max(b_vv, n * n))
+
+
+def _holdout_residuals(blocks, folds, grid: np.ndarray):
+    """Residuals of the folds of one or more ``_KernelBlock``s, one column per lambda.
+
+    ``folds`` lists each block's folds in turn, as many for every block.  A
+    fold V of a block of n rows gets y_V - K_VT (K_TT + mu I)^-1 y_T, where T
+    is every other row of its block and mu = lambda |T|.  With B = (K + mu I)^-1
+    = U diag(1 / (s + mu)) U', these are (B_VV)^-1 (B y)_V (An, Liu &
+    Venkatesh, Pattern Recognition 2007), so no training-fold matrix is
+    factored.  Each block's neighbouring folds of equal size share one filter
+    1 / (s + mu) and one B y per solve, and are taken in groups of at most
+    ``grid.size`` rows: a group's B_VV blocks for every lambda come from one product of the
+    filter with the row products u_a * u_b of U.  A fold of more rows than the
+    grid is a group of its own, its products taken in chunks of ``grid.size``
+    rows, so no temporary outgrows one fold's (grid, v, n) array.
+
+    One batched solve (``_solve_groups``) serves consecutive groups of one
+    fold size v, of one block or of the next ones, while their stacked B_VV
+    stays within ``_STACK_DOUBLES`` doubles; a fold of more rows than the
+    grid is solved on its own.  Yields one (folds, v, grid.size) residual
+    stack per solve, in the order of ``folds``.
+    """
+    g = grid.size
+    per_block = len(folds) // len(blocks)
+    solves, last_v, filled = [], 0, 0
+    for b, block in enumerate(blocks):
+        for v, run in groupby(folds[b * per_block : (b + 1) * per_block], len):
             run = list(run)
-            inv = _tikhonov_filter(s, grid * (n - v), 0)
-            b_y = (inv * uy) @ u.T
             step = max(1, g // v)  # whole folds per group; a fold over g rows is its own
             for f in range(0, len(run), step):
-                val = np.stack(run[f : f + step])  # (m, v)
-                rows = u[val]
-                b_vv = np.empty((g, *val.shape, v))
-                for a in range(0, v, g):
-                    # one expression, so a chunk's row products are freed before the next's
-                    b_vv[:, :, a : a + g] = (
-                        inv @ (rows[:, a : a + g, None, :] * rows[:, None, :, :]).reshape(-1, n).T
-                    ).reshape(g, len(val), -1, v)
-                yield np.linalg.solve(b_vv, b_y[:, val, None])[..., 0].transpose(1, 2, 0)
+                val = np.array(run[f : f + step])  # (m, v)
+                size = g * val.size * v
+                if v != last_v or v > g or filled + size > _STACK_DOUBLES:
+                    solves.append([])
+                    filled = 0
+                solves[-1].append((block, val))
+                filled, last_v = filled + size, v
+    for groups in solves:
+        yield _solve_groups(groups, grid)
+
+
+def _solve_groups(groups, grid: np.ndarray) -> np.ndarray:
+    """The (folds, v, grid.size) residuals (B_VV)^-1 (B y)_V of (block, folds) groups.
+
+    Their B_VV and B y fill one (grid, folds, v, v) and one (grid, folds,
+    v, 1) buffer, freed on return, and one batched solve serves them.
+    """
+    g, v = grid.size, groups[0][1].shape[1]
+    b_vv = np.empty((g, sum(len(val) for _, val in groups), v, v))
+    rhs, flat = np.empty(b_vv.shape[:3] + (1,)), b_vv.reshape(g, -1)
+    k, last = 0, None
+    for block, val in groups:
+        s, u, uy = block.eig
+        n, m = u.shape[0], len(val)
+        if block is not last:
+            inv = _tikhonov_filter(s, grid * (n - v), 0)
+            b_y, last = (inv * uy) @ u.T, block
+        rows = u[val]
+        for a in range(0, v, g):
+            # rows a to a + g of the group's folds fill a run of columns of b_vv's rows:
+            # a whole group (a = 0, no chunks) or a chunk of a fold on its own (m = 1)
+            start = (k * v + a) * v
+            stop = start + m * min(g, v - a) * v
+            # one expression, so a chunk's row products are freed before the next's
+            np.matmul(inv, (rows[:, a : a + g, None, :] * rows[:, None, :, :]).reshape(-1, n).T,
+                      out=flat[:, start:stop])
+        rhs[:, k : k + m, :, 0] = b_y[:, val]
+        k += m
+    return np.linalg.solve(b_vv, rhs)[..., 0].transpose(1, 2, 0)
 
 
 def fit_kernel_regularized(

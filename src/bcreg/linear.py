@@ -225,19 +225,20 @@ class SpectrumProfile:
 def _centered_arrays(x: np.ndarray, y: np.ndarray):
     """Means, covariance, and cross moment of already-validated arrays.
 
-    Raises InvalidDataError where the moments overflow, without a numpy warning.
+    Raises InvalidDataError where the means or moments overflow, without a
+    numpy warning: an overflowing mean leaves non-finite moments.
     """
     n = x.shape[0]
-    x_mean = x.mean(axis=0)
-    y_mean = float(y.mean())
-    xc = x - x_mean
-    yc = y - y_mean
     with np.errstate(over="ignore", invalid="ignore"):
+        x_mean = x.mean(axis=0)
+        y_mean = float(y.mean())
+        xc = x - x_mean
+        yc = y - y_mean
         cov = xc.T @ xc / n
         cov = (cov + cov.T) / 2.0  # exact symmetry despite BLAS rounding
         cross = xc.T @ yc / n
     if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(cross))):
-        raise InvalidDataError("the data's second moments overflow; rescale the data")
+        raise InvalidDataError("the data's means or second moments overflow; rescale the data")
     return x_mean, y_mean, cov, cross
 
 
@@ -356,10 +357,11 @@ def _holdout_residuals(dataset: Dataset, folds, grid: np.ndarray):
     value.  Yields a (1, len(V), grid.size) residual stack per fold, in
     the order of ``folds``.  The linear fold scorer of
     ``streaming._select_lambda``; the kernel one is
-    ``_KernelBlock.holdout_residuals``.
+    ``kernels._holdout_residuals``.
     """
-    xc = dataset.features - dataset.features.mean(axis=0)
-    yc = dataset.targets - dataset.targets.mean()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean fails in the folds
+        xc = dataset.features - dataset.features.mean(axis=0)
+        yc = dataset.targets - dataset.targets.mean()
     for val_idx in folds:
         train = np.ones(dataset.n_rows, dtype=bool)
         train[val_idx] = False

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from .errors import (
     ShapeError,
 )
 from .experiments import Metrics, compute_metrics
-from .kernels import KernelModel, KernelSpec, _KernelBlock, predict_kernel
+from .kernels import KernelModel, KernelSpec, _blocks_per_stack, _KernelBlock, predict_kernel
+from .kernels import _holdout_residuals as _kernel_holdout_residuals
 from .linear import (
     Dataset,
     LinearModel,
@@ -178,9 +180,10 @@ def select_lambda_cv(
     (``kernels._KernelBlock.holdout_residuals``) factor nothing: the
     dataset's kernel matrix is decomposed once, and every fold's residuals
     at lambda n_train follow from that one decomposition in closed form,
-    equal-size folds together in one product and one batched solve per
-    group.  A kernel that is not positive semi-definite raises
-    DegenerateDataError.
+    equal-size folds together in one product per group and one batched
+    solve.  A kernel that is not positive semi-definite raises
+    DegenerateDataError.  Both families score the dataset as a stack of
+    one block of ``_select_lambda``.
     """
     _check_inputs(dataset, cv, kernel_spec)
     rng = _check_rng(rng)
@@ -188,30 +191,62 @@ def select_lambda_cv(
         holdout = partial(_holdout_residuals, dataset)
     else:
         holdout = _KernelBlock(dataset, kernel_spec).holdout_residuals
-    return _select_lambda(dataset.n_rows, cv, rng, holdout)
+    (lam,) = _select_lambda(dataset.n_rows, cv, [rng], holdout)
+    return lam
 
 
-def _select_lambda(n: int, cv: CvConfig, rng, holdout) -> float:
-    """The CV loop of ``select_lambda_cv`` over n rows, whatever the family.
+def _select_lambda(n: int, cv: CvConfig, rngs, holdout) -> list[float]:
+    """The CV loop of a stack of blocks of n rows, whatever the family: one lambda per block.
 
-    ``cv`` was checked at the call.  ``holdout(folds, grid)`` is handed
-    all the folds at once and yields the validation residuals of the fits
-    on the other rows as stacks of shape (folds in the stack, fold size,
-    grid.size), in fold order; each fold adds its mean squared residual to
-    one error per grid value, in fold order.  The folds are drawn first,
-    so a fold count above n raises even for a one-value grid.
+    ``cv`` was checked at the call.  ``rngs`` holds one rng per block (a
+    Generator or seeds, as ``cv_folds`` takes them); a Generator alone is a
+    stack of one.  ``holdout(folds, grid)`` is handed every block's folds at
+    once, block after block, and yields the validation residuals of the
+    fits on the other rows of each fold's block as stacks of shape (folds in
+    the stack, fold size, grid.size), in fold order.  Each block adds its
+    folds' mean squared residuals to one error per grid value, in fold
+    order.  The folds are drawn first, so a fold count above n raises even
+    for a one-value grid.
     """
-    folds = cv_folds(n, cv.folds, rng)
+    if isinstance(rngs, np.random.Generator):
+        rngs = [rngs]
+    folds = [fold for rng in rngs for fold in cv_folds(n, cv.folds, rng)]
     grid = np.array(sorted(set(cv.grid)))  # np.unique would import numpy.ma
     if grid.size == 1:
-        return float(grid[0])
+        return [float(grid[0])] * len(rngs)
 
-    errors = np.zeros(grid.size)
-    for stack in holdout(folds, grid):
-        for fold_error in np.mean(stack**2, axis=1):
-            errors += fold_error
+    fold_errors = np.concatenate([np.mean(stack**2, axis=1) for stack in holdout(folds, grid)])
+    # a sum over the middle axis adds each block's fold errors one by one, in fold order
+    errors = fold_errors.reshape(len(rngs), cv.folds, grid.size).sum(axis=1)
     # the grid is sorted, so [-1] is the largest lambda among the least errors
-    return float(grid[errors == errors.min()][-1])
+    return [float(grid[block_errors == block_errors.min()][-1]) for block_errors in errors]
+
+
+def _kernel_picks(blocks, cv: CvConfig, seed: tuple, kernel_spec: KernelSpec):
+    """Each block's ``_KernelBlock`` and CV pick, in stream order, cross-validated in stacks.
+
+    A stack is consecutive blocks of one size, as many as
+    ``kernels._blocks_per_stack`` admits within its memory budget; block t draws
+    its folds from the seeds (*seed, t, 1), as a linear block does.
+    """
+    grid_size = len(set(cv.grid))
+    t = 1
+    for n, run in groupby(blocks, lambda block: block.n_rows):
+        run = list(run)
+        size = _blocks_per_stack(n, cv.folds, grid_size)
+        for i in range(0, len(run), size):
+            stack = [_KernelBlock(block, kernel_spec) for block in run[i : i + size]]
+            rngs = [(*seed, s, 1) for s in range(t, t + len(stack))]
+            try:
+                lams = _select_lambda(n, cv, rngs, partial(_kernel_holdout_residuals, stack))
+            except Exception:
+                # again block by block: the first failing block raises after those before it
+                lams = [None] * len(stack)
+            for kernel, rng, lam in zip(stack, rngs, lams):
+                if lam is None:
+                    (lam,) = _select_lambda(n, cv, [rng], kernel.holdout_residuals)
+                yield kernel, lam
+            t += len(stack)
 
 
 @dataclass(frozen=True)
@@ -255,7 +290,11 @@ def run_block_stream(
     settings ``cv``) picks one lambda, every order is fitted on the block
     with it, and each fit is evaluated once on the test set.  A kernel
     block's CV and fits share one kernel matrix and one eigh, and its
-    fits of every order share one test-set kernel matrix.  Each order's
+    fits of every order share one test-set kernel matrix.  Kernel blocks
+    are cross-validated in stacks of consecutive blocks of one size, one
+    batched solve serving the folds of several blocks (``_kernel_picks``);
+    each block still picks its own lambda from its own folds, and an error
+    names the first failing block, as block by block.  Each order's
     predictions are summed over the blocks, and the averaged predictor's
     test-set metrics at step t are those of sum / t.  Returns one series
     per algorithm label (a ``StreamReport``).  Deterministic given ``seed``.
@@ -277,18 +316,16 @@ def run_block_stream(
     lambdas: list[float] = []
     mse: dict[str, list[float]] = {label: [] for label in labels}
     cls_err = {label: [] for label in labels} if classification else None
+    picks = None if kernel_spec is None else _kernel_picks(blocks, cv, seed, kernel_spec)
     for t, block in enumerate(blocks, start=1):
         try:
-            # entropy tag 1 keeps fold shuffling apart from data streams
-            rng = np.random.default_rng((*seed, t, 1))
             # lambda, and every order's test-set predictions of its fit on this block
-            if kernel_spec is not None:
-                kernel = _KernelBlock(block, kernel_spec)
-                lam = _select_lambda(block.n_rows, cv, rng, kernel.holdout_residuals)
-                test_kernel = kernel.cross(test.features)
-                fresh = [test_kernel @ c for c in kernel.coeffs(lam, orders)]
+            if picks is not None:
+                kernel, lam = next(picks)
+                fresh = kernel.predictions(test.features, lam, orders)
             else:
-                lam = select_lambda_cv(block, cv, rng)
+                # entropy tag 1 keeps fold shuffling apart from data streams
+                lam = select_lambda_cv(block, cv, (*seed, t, 1))
                 fits = [fit_regularized(block, lam, k) for k in orders]
                 fresh = [predict_linear(fit, test.features) for fit in fits]
             lambdas.append(lam)

@@ -26,6 +26,7 @@ from bcreg import (
     SyntheticSpec,
     algorithm_label,
     average_update,
+    center,
     compute_metrics,
     cv_folds,
     fit_kernel_regularized,
@@ -332,6 +333,25 @@ class TestSelectLambdaCv:
             select_lambda_cv(ds, CvConfig(folds=5), rng=0)
         with pytest.raises(InvalidDataError, match="overflow"):
             fit_regularized(ds, 1.0, 1)
+
+    def test_overflowing_means_are_invalid_data(self):
+        """A column whose sum overflows fails as InvalidDataError, without a numpy warning.
+
+        [1.7e308, 1.7e308, 1.0] is finite, but its mean is not; as a feature
+        column and as the targets it fails a fit, ``center`` and linear CV.
+        """
+        column = np.array([1.7e308, 1.7e308, 1.0])
+        for ds in (
+            Dataset(features=np.column_stack([column, [0.0, 1.0, 2.0]]), targets=np.ones(3)),
+            Dataset(features=np.array([[0.0], [1.0], [2.0]]), targets=column),
+        ):
+            for call in (
+                lambda: fit_regularized(ds, 1.0, 1),
+                lambda: center(ds),
+                lambda: select_lambda_cv(ds, CvConfig(folds=3), rng=0),
+            ):
+                with pytest.raises(InvalidDataError, match="overflow"):
+                    call()
 
     def test_insufficient_rows(self):
         ds = Dataset(features=np.zeros((5, 1)), targets=np.zeros(5))
@@ -681,6 +701,128 @@ class TestKernelRunningSum:
                 lin_blocks, [2, 2], synth_block(SyntheticSpec("model1", n=50, seed=18), rng=4),
                 seed=0,
             )
+
+
+def psd_or_not_blocks(rng, firsts, n=50):
+    """Blocks whose first column is constant: under x . x' - 1 a block is PSD iff first^2 >= 1."""
+    return [
+        Dataset(np.column_stack([np.full(n, first), rng.normal(size=(n, 2))]), rng.normal(size=n))
+        for first in firsts
+    ]
+
+
+class TestKernelCvStacks:
+    """Kernel streams cross-validate consecutive blocks of one size in stacks."""
+
+    SPEC = KernelSpec.gaussian(0.4)
+
+    def test_uneven_blocks_pick_as_one_call_per_block(self):
+        """Blocks of 50, 50, 53, 50 and 200 rows pick what select_lambda_cv picks for each.
+
+        53 rows leave folds of 6 and 5 rows.  At the default grid the
+        200-row block's folds of 20 rows fill three per solve, so its folds
+        straddle four solves; at a 12-value grid they exceed the grid and
+        are scored in row chunks.
+        """
+        blocks = [synth_nonlinear_block(n, (31, t)) for t, n in enumerate((50, 50, 53, 50, 200))]
+        test = synth_nonlinear_block(40, (31, 9))
+        for cv in (CvConfig(), CvConfig(tuple(np.logspace(-5, 1, 12)))):
+            report = run_block_stream(blocks, [0, 1], test, cv=cv, seed=7, kernel_spec=self.SPEC)
+            assert report.lambdas == [
+                select_lambda_cv(block, cv, (7, t, 1), self.SPEC)
+                for t, block in enumerate(blocks, start=1)
+            ]
+
+    def test_one_solve_serves_five_blocks(self, monkeypatch):
+        """Ten blocks of 50 rows at the default grid and 10 folds take two batched solves."""
+        shapes = []
+        original = np.linalg.solve
+
+        def counting(a, b):
+            shapes.append(a.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        blocks = [synth_nonlinear_block(50, (32, t)) for t in range(10)]
+        report = run_block_stream(blocks, [0], blocks[0], seed=1, kernel_spec=self.SPEC)
+        assert shapes == [(25, 50, 5, 5)] * 2
+        monkeypatch.setattr(np.linalg, "solve", original)
+        assert report.lambdas == [
+            select_lambda_cv(block, CvConfig(), (1, t, 1), self.SPEC)
+            for t, block in enumerate(blocks, start=1)
+        ]
+
+    def test_non_psd_block_in_a_stack_names_that_block(self):
+        """Block 3 of a stack of five is not PSD: the stream raises for it, not for its stack."""
+        blocks = psd_or_not_blocks(np.random.default_rng(33), (2.0, 2.0, 0.5, 2.0, 2.0))
+        spec = KernelSpec.polynomial(1, offset=-1.0)
+        test = blocks[0]
+        report = run_block_stream(blocks[:2], [0], test, seed=0, kernel_spec=spec)
+        assert len(report.lambdas) == 2  # the blocks before it are fine
+        with pytest.raises(DegenerateDataError, match="^block 3: .*not positive definite"):
+            run_block_stream(blocks, [0], test, seed=0, kernel_spec=spec)
+
+    def test_earlier_block_fails_before_a_later_blocks_cv(self, monkeypatch):
+        """A fit or metrics failure of block 1 or 2 raises before block 4's CV failure.
+
+        The five blocks share one stack, whose CV fails at block 4; the
+        blocks before it are fitted and scored first.
+        """
+        blocks = psd_or_not_blocks(np.random.default_rng(34), (2.0, 2.0, 2.0, 0.5, 2.0))
+        spec = KernelSpec.polynomial(1, offset=-1.0)
+        with pytest.raises(DegenerateDataError, match="^block 4: "):
+            run_block_stream(blocks, [0], blocks[0], seed=0, kernel_spec=spec)
+
+        labels = Dataset(blocks[0].features, np.full(50, 0.5))  # not +-1
+        with pytest.raises(InvalidDataError, match="^block 1: classification targets"):
+            run_block_stream(blocks, [0], labels, seed=0, classification=True, kernel_spec=spec)
+
+        original = _KernelBlock.coeffs
+
+        def failing(self, lam, orders):
+            if self.dataset is blocks[1]:
+                raise InvalidDataError("kernel fit coefficients contain non-finite values")
+            return original(self, lam, orders)
+
+        monkeypatch.setattr(_KernelBlock, "coeffs", failing)
+        with pytest.raises(InvalidDataError, match="^block 2: kernel fit coefficients"):
+            run_block_stream(blocks, [0], blocks[0], seed=0, kernel_spec=spec)
+
+    def test_stream_peak_memory(self):
+        """One stream of 50 Gaussian blocks of 50 rows peaks within 1.25 times 0.58 MB.
+
+        Cross-validating block by block, the stream peaked at 0.58 MB
+        (tracemalloc, 500 test rows, orders 0 and 1), most of it the test-set
+        kernel matrices of two blocks.  A stack of five blocks adds its
+        stacked B_VV of up to 2^15 doubles.
+        """
+        blocks = [synth_nonlinear_block(50, (12, t)) for t in range(50)]
+        test = synth_nonlinear_block(500, (12, 50))
+        tracemalloc.start()
+        try:
+            run_block_stream(blocks, [0, 1], test, seed=3, kernel_spec=KernelSpec.gaussian(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 0.58e6, peak
+
+    def test_leave_one_out_stream_peak_memory(self):
+        """Leave-one-out CV on 20 blocks of 100 rows at two lambdas peaks within 2 times 0.38 MB.
+
+        Block by block, the stream peaked at 0.38 MB.  Its folds' B_VV take
+        200 doubles a block, so a stack bounded by B_VV alone held every
+        block's 100 x 100 eigenvectors at once and peaked at 2.3 MB.
+        """
+        blocks = [synth_nonlinear_block(100, (13, t)) for t in range(20)]
+        test = synth_nonlinear_block(100, (13, 20))
+        cv = CvConfig(grid=(0.01, 0.1), folds=100)
+        tracemalloc.start()
+        try:
+            run_block_stream(blocks, [0], test, cv=cv, seed=4, kernel_spec=self.SPEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 0.38e6, peak
 
 
 class TestLinearRunningSum:
